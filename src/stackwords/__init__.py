@@ -4,7 +4,6 @@ permutations, with the asymptotic machinery for the 3-stack upper bound.
 """
 
 from .counting import (
-    CountCache,
     binomial,
     brute_force_count,
     brute_force_image_descent_counts,
@@ -60,7 +59,6 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CountCache",
     "DEFAULT_ENUMERATION_LIMIT",
     "GrowthMaximum",
     "MAX_STACKS",

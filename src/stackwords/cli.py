@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .counting import (
-    CountCache,
     brute_force_count,
     catalan,
     three_stack_bound,
@@ -41,36 +38,30 @@ HARD_ENUMERATION_CAP = 12
 CONVERGENCE_SAMPLES = (10, 50, 200, 1000, 2000)
 
 
-@dataclass
-class CliConfig:
-    output_format: str = "text"
-    enumeration_limit: int = 10
-    cache_path: str | None = None
-    tolerance: float = 1e-10
-
-
-def _emit(config: CliConfig, payload: dict, text_lines: list[str]) -> None:
-    if config.output_format == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str], table: str | None = None) -> None:
+    """
+    Print the payload as JSON, or as CSV: the rows of ``payload[table]``
+    (list cells joined with "; "), else one key/value row per entry.
+    """
+    if args.output_format == "json":
         print(json.dumps(payload, sort_keys=True))
-    elif config.output_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        rows = payload.pop("rows", None)
-        if rows:
+    elif args.output_format == "csv":
+        writer = csv.writer(sys.stdout)
+        if table:
+            rows = payload[table]
             writer.writerow(rows[0].keys())
             for row in rows:
-                writer.writerow(row.values())
+                writer.writerow("; ".join(v) if isinstance(v, list) else v for v in row.values())
         else:
             writer.writerow(["key", "value"])
             for key in sorted(payload):
                 writer.writerow([key, payload[key]])
-        sys.stdout.write(buffer.getvalue())
     else:
         for line in text_lines:
             print(line)
 
 
-def _cmd_sort(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_sort(args: argparse.Namespace) -> int:
     p = parse_permutation(args.permutation)
     result = iterate_stack_sort(p, args.passes)
     payload = {
@@ -85,11 +76,11 @@ def _cmd_sort(config: CliConfig, args: argparse.Namespace) -> int:
         f"sortable with {args.passes} pass(es): {'yes' if payload['sortable'] else 'no'}",
         f"minimal passes to sort: {payload['min_passes']}",
     ]
-    _emit(config, payload, text)
+    _emit(args, payload, text)
     return EXIT_OK
 
 
-def _cmd_word_encode(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_word_encode(args: argparse.Namespace) -> int:
     p = parse_permutation(args.value)
     run = run_series_machine(p, args.stacks, record_steps=args.trace)
     word = run.word
@@ -117,11 +108,11 @@ def _cmd_word_encode(config: CliConfig, args: argparse.Namespace) -> int:
             f"out={list(s.output)}"
             for s in run.steps
         )
-    _emit(config, payload, text)
+    _emit(args, payload, text)
     return EXIT_OK
 
 
-def _cmd_word_decode(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_word_decode(args: argparse.Namespace) -> int:
     word = validate_word(args.value, args.stacks)
     recovered = decode(word)
     payload = {
@@ -134,11 +125,11 @@ def _cmd_word_decode(config: CliConfig, args: argparse.Namespace) -> int:
         f"permutation: {payload['permutation']}",
         f"re-encoding reproduces the word: {'yes' if payload['roundtrip'] else 'no'}",
     ]
-    _emit(config, payload, text)
+    _emit(args, payload, text)
     return EXIT_OK
 
 
-def _cmd_count(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> int:
     n, t, mode = args.length, args.stacks, args.mode
     payload: dict = {"n": n, "t": t, "mode": mode}
     text: list[str] = []
@@ -162,14 +153,9 @@ def _cmd_count(config: CliConfig, args: argparse.Namespace) -> int:
 
     brute_value: int | None = None
     if mode in ("brute", "both"):
-        if n > config.enumeration_limit:
-            raise ValueError(f"n={n} exceeds enumeration limit {config.enumeration_limit}")
-        if config.cache_path:
-            cache = CountCache(config.cache_path)
-            brute_value = cache.counted(n, t, config.enumeration_limit)
-            cache.save()
-        else:
-            brute_value = brute_force_count(n, t, config.enumeration_limit)
+        if n > args.enumeration_limit:
+            raise ValueError(f"n={n} exceeds enumeration limit {args.enumeration_limit}")
+        brute_value = brute_force_count(n, t, args.enumeration_limit)
         payload["brute"] = brute_value
         text.append(f"brute-force count: {brute_value}")
 
@@ -183,24 +169,24 @@ def _cmd_count(config: CliConfig, args: argparse.Namespace) -> int:
         if verdict in ("DISAGREE", "INCONSISTENT"):
             exit_code = EXIT_VERIFICATION_FAILED
 
-    _emit(config, payload, text)
+    _emit(args, payload, text)
     return exit_code
 
 
-def _cmd_bound(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> int:
     n, t = args.length, args.stacks
     payload: dict = {"n": n, "t": t, "trivial_bound": trivial_bound(n, t)}
     text = [f"trivial upper bound (t+1)^(2n): {payload['trivial_bound']}"]
     if t == 3:
         payload["insertion_bound"] = three_stack_bound(n)
         text.append(f"insertion upper bound: {payload['insertion_bound']}")
-    _emit(config, payload, text)
+    _emit(args, payload, text)
     return EXIT_OK
 
 
-def _cmd_asymptote(config: CliConfig, args: argparse.Namespace) -> int:
-    golden = maximize_growth_rate(config.tolerance, "golden_section")
-    bisection = maximize_growth_rate(config.tolerance, "derivative_bisection")
+def _cmd_asymptote(args: argparse.Namespace) -> int:
+    golden = maximize_growth_rate(args.tolerance, "golden_section")
+    bisection = maximize_growth_rate(args.tolerance, "derivative_bisection")
     closed = critical_point()
     convergence = [{"n": n, "bound_nth_root": bound_nth_root(n)} for n in CONVERGENCE_SAMPLES]
     payload = {
@@ -211,7 +197,7 @@ def _cmd_asymptote(config: CliConfig, args: argparse.Namespace) -> int:
         "tolerance": golden.tolerance,
         "x_star_bisection": bisection.x_star,
         "x_star_closed_form": closed,
-        "rows": convergence,
+        "convergence": convergence,
     }
     text = [
         f"x_star (golden section):      {golden.x_star:.7g}",
@@ -221,20 +207,18 @@ def _cmd_asymptote(config: CliConfig, args: argparse.Namespace) -> int:
         "n-th root of the exact bound:",
     ]
     text.extend(f"  n={row['n']:>5}: {row['bound_nth_root']:.6f}" for row in convergence)
-    if config.output_format == "json":
-        payload["convergence"] = payload.pop("rows")
-    _emit(config, payload, text)
+    _emit(args, payload, text, table="convergence")
     return EXIT_OK
 
 
-def _cmd_verify(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     results = run_verification(args.level)
     passed = all(r.passed for r in results)
     payload = {
         "level": args.level,
         "passed": passed,
-        "rows": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail, "witnesses": "; ".join(r.witnesses)}
+        "checks": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail, "witnesses": r.witnesses}
             for r in results
         ],
     }
@@ -243,11 +227,7 @@ def _cmd_verify(config: CliConfig, args: argparse.Namespace) -> int:
         text.append(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
         text.extend(f"       witness: {w}" for w in r.witnesses)
     text.append(f"{sum(r.passed for r in results)}/{len(results)} property families passed")
-    if config.output_format == "json":
-        payload["checks"] = payload.pop("rows")
-        for check in payload["checks"]:
-            check["witnesses"] = check["witnesses"].split("; ") if check["witnesses"] else []
-    _emit(config, payload, text)
+    _emit(args, payload, text, table="checks")
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
@@ -273,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text", dest="output_format")
     parser.add_argument("--limit", type=_enumeration_limit, default=10, dest="enumeration_limit",
                         help="max length for brute-force enumeration (<= %d)" % HARD_ENUMERATION_CAP)
-    parser.add_argument("--cache", dest="cache_path", default=None, help="CSV cache for brute-force counts")
     parser.add_argument("--tolerance", type=_positive_float, default=1e-10, help="x tolerance for maximization")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -287,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_word.add_argument("value", help="permutation (encode) or word (decode)")
     p_word.add_argument("-t", "--stacks", type=int, default=3)
     p_word.add_argument("--trace", action="store_true", help="emit per-step machine records (encode only)")
-    p_word.set_defaults(handler=lambda cfg, a: _cmd_word_encode(cfg, a) if a.direction == "encode" else _cmd_word_decode(cfg, a))
+    p_word.set_defaults(handler=lambda a: _cmd_word_encode(a) if a.direction == "encode" else _cmd_word_decode(a))
 
     p_count = sub.add_parser("count", help="count t-stack sortable permutations")
     p_count.add_argument("-n", "--length", type=int, required=True)
@@ -313,14 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = CliConfig(
-        output_format=args.output_format,
-        enumeration_limit=args.enumeration_limit,
-        cache_path=args.cache_path,
-        tolerance=args.tolerance,
-    )
     try:
-        return args.handler(config, args)
+        return args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

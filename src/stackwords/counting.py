@@ -9,10 +9,8 @@ bug, and fails loudly.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
-from pathlib import Path
 
 from .machine import is_t_stack_sortable, stack_sort
 from .perms import DEFAULT_ENUMERATION_LIMIT, all_permutations, descent_count
@@ -146,47 +144,3 @@ def brute_force_image_descent_counts(
             d = descent_count(q)
             counts[d] = counts.get(d, 0) + 1
     return counts
-
-
-class CountCache:
-    """
-    Advisory CSV cache of brute-force counts, keyed by (n, t). Format:
-    a header line ``n,t,count`` then one decimal row per entry. Cached
-    values only skip recomputation; nothing trusts them blindly.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._table: dict[tuple[int, int], int] = {}
-        if self.path.exists():
-            with self.path.open(newline="") as fh:
-                for row in csv.DictReader(fh):
-                    self._table[(int(row["n"]), int(row["t"]))] = int(row["count"])
-
-    def get(self, n: int, t: int) -> int | None:
-        return self._table.get((n, t))
-
-    def put(self, n: int, t: int, count: int) -> None:
-        self._table[(n, t)] = count
-
-    def save(self) -> None:
-        with self.path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "t", "count"])
-            for (n, t), count in sorted(self._table.items()):
-                writer.writerow([n, t, count])
-
-    def counted(self, n: int, t: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
-        """Cached brute-force count, computing and storing on a miss."""
-        hit = self.get(n, t)
-        if hit is not None:
-            return hit
-        count = brute_force_count(n, t, limit)
-        self.put(n, t, count)
-        return count
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -205,8 +205,3 @@ def bound_nth_root(n: int) -> float:
     """
     return math.exp(math.log(three_stack_bound(n)) / n)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

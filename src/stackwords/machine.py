@@ -196,8 +196,3 @@ def is_genuine_word(word: StackWord) -> bool:
         return False
     return encode(q, word.stacks).indices() == word.indices()
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

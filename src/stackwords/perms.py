@@ -157,8 +157,3 @@ def all_permutations(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator
         raise ValueError(f"length {n} exceeds enumeration limit {limit}")
     return iter(itertools.permutations(range(1, n + 1)))
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -1,7 +1,8 @@
 """
 Self-verification: every formula, bound, and structural claim in the
 package checked against brute force at desk scale. Each check returns a
-result with concrete witnesses on failure. The ``quick`` level keeps
+result with concrete witnesses on failure. Each check takes its sizes
+as arguments; ``BOUNDS`` holds them per level. The ``quick`` level keeps
 exhaustive sweeps to n <= 6 (well under a second); ``full`` pushes them
 to n <= 9 where that matters (around fifteen seconds).
 """
@@ -43,8 +44,6 @@ from .perms import (
 )
 from .words import StackWord, count_factor, decode, enumerate_a_placements, forbidden_factor_violations, image_word, validate_word
 
-LEVELS = ("quick", "full")
-
 _MAX_WITNESSES = 5
 
 
@@ -63,14 +62,7 @@ def _result(name: str, detail: str, witnesses: list[str]) -> CheckResult:
     return CheckResult(name=name, passed=not witnesses, detail=detail, witnesses=shown)
 
 
-def _pick(level: str, quick: int, full: int) -> int:
-    if level not in LEVELS:
-        raise ValueError(f"unknown level {level!r}")
-    return quick if level == "quick" else full
-
-
-def check_permutation_statistics(level: str) -> CheckResult:
-    top = _pick(level, 6, 8)
+def check_permutation_statistics(top: int) -> CheckResult:
     bad = []
     for n in range(top + 1):
         avoiders = 0
@@ -88,8 +80,7 @@ def check_permutation_statistics(level: str) -> CheckResult:
     return _result("permutation_statistics", f"descents, containment, 231-avoiders for n <= {top}", bad)
 
 
-def check_catalan_oracle(level: str) -> CheckResult:
-    top = _pick(level, 6, 8)
+def check_catalan_oracle(top: int) -> CheckResult:
     bad = []
     for n in range(1, top + 1):
         brute, formula = brute_force_count(n, 1), catalan(n)
@@ -98,8 +89,7 @@ def check_catalan_oracle(level: str) -> CheckResult:
     return _result("catalan_oracle", f"1-stack sortable count vs formula for n <= {top}", bad)
 
 
-def check_two_stack_oracle(level: str) -> CheckResult:
-    top = _pick(level, 6, 8)
+def check_two_stack_oracle(top: int) -> CheckResult:
     bad = []
     for n in range(1, top + 1):
         brute, formula = brute_force_count(n, 2), two_stack_count(n)
@@ -108,8 +98,7 @@ def check_two_stack_oracle(level: str) -> CheckResult:
     return _result("two_stack_oracle", f"2-stack sortable count vs formula for n <= {top}", bad)
 
 
-def check_descent_refinement_oracle(level: str) -> CheckResult:
-    top = _pick(level, 6, 7)
+def check_descent_refinement_oracle(top: int) -> CheckResult:
     bad = []
     for n in range(1, top + 1):
         tallies: dict[int, int] = {}
@@ -126,8 +115,7 @@ def check_descent_refinement_oracle(level: str) -> CheckResult:
     return _result("descent_refinement_oracle", f"2-stack counts by descents vs formula for n <= {top}", bad)
 
 
-def check_descent_refinement_algebra(level: str) -> CheckResult:
-    top = _pick(level, 120, 300)
+def check_descent_refinement_algebra(top: int) -> CheckResult:
     bad = []
     for n in range(1, top + 1):
         if sum(two_stack_count_by_descents(n, d) for d in range(n)) != two_stack_count(n):
@@ -140,9 +128,7 @@ def check_descent_refinement_algebra(level: str) -> CheckResult:
     return _result("descent_refinement_algebra", f"sum and symmetry identities for n <= {top}", bad)
 
 
-def check_sortability_structure(level: str) -> CheckResult:
-    top = _pick(level, 6, 7)
-    avoid_top = _pick(level, 6, 8)
+def check_sortability_structure(top: int, avoid_top: int) -> CheckResult:
     bad = []
     for n in range(avoid_top + 1):
         for p in all_permutations(n):
@@ -165,8 +151,7 @@ def check_sortability_structure(level: str) -> CheckResult:
     return _result("sortability_structure", f"monotonicity and pattern avoidance for n <= {top}", bad)
 
 
-def check_series_machine_equivalence(level: str) -> CheckResult:
-    top = _pick(level, 6, 7)
+def check_series_machine_equivalence(top: int) -> CheckResult:
     bad = []
     for n in range(top + 1):
         for p in all_permutations(n):
@@ -189,8 +174,7 @@ def check_series_machine_equivalence(level: str) -> CheckResult:
     )
 
 
-def check_forbidden_factors(level: str) -> CheckResult:
-    top = _pick(level, 6, 7)
+def check_forbidden_factors(top: int) -> CheckResult:
     bad = []
     for n in range(top + 1):
         for p in all_permutations(n):
@@ -200,8 +184,7 @@ def check_forbidden_factors(level: str) -> CheckResult:
     return _result("forbidden_factors", f"no forbidden factor in any 3-stack trace, n <= {top}", bad)
 
 
-def check_codec_roundtrip(level: str) -> CheckResult:
-    top = _pick(level, 6, 7)
+def check_codec_roundtrip(top: int) -> CheckResult:
     bad = []
     for n in range(top + 1):
         for p in all_permutations(n):
@@ -216,8 +199,7 @@ def check_codec_roundtrip(level: str) -> CheckResult:
     )
 
 
-def check_projection(level: str) -> CheckResult:
-    top = _pick(level, 6, 7)
+def check_projection(top: int) -> CheckResult:
     bad = []
     for n in range(top + 1):
         for p in all_permutations(n):
@@ -237,8 +219,7 @@ def check_projection(level: str) -> CheckResult:
     )
 
 
-def check_factor_descent_bijections(level: str) -> CheckResult:
-    top = _pick(level, 6, 7)
+def check_factor_descent_bijections(top: int) -> CheckResult:
     bad = []
     for n in range(top + 1):
         for p in all_permutations(n):
@@ -256,8 +237,7 @@ def check_factor_descent_bijections(level: str) -> CheckResult:
     )
 
 
-def check_placement_membership(level: str) -> CheckResult:
-    top = _pick(level, 6, 7)
+def check_placement_membership(top: int) -> CheckResult:
     bad = []
     for n in range(1, top + 1):
         by_projection: dict[str, list] = {}
@@ -303,8 +283,7 @@ def _ballot_words(n: int) -> list[str]:
     return out
 
 
-def check_one_stack_word_count(level: str) -> CheckResult:
-    top = _pick(level, 6, 8)
+def check_one_stack_word_count(top: int) -> CheckResult:
     bad = []
     for n in range(top + 1):
         words_n = _ballot_words(n)
@@ -315,9 +294,7 @@ def check_one_stack_word_count(level: str) -> CheckResult:
     return _result("one_stack_word_count", f"valid 1-stack words are Catalan-many, n <= {top}", bad)
 
 
-def check_bound_inequalities(level: str) -> CheckResult:
-    top3 = _pick(level, 6, 9)
-    top_trivial = _pick(level, 6, 8)
+def check_bound_inequalities(top3: int, top_trivial: int) -> CheckResult:
     bad = []
     for n in range(1, top3 + 1):
         tallies = brute_force_image_descent_counts(n)
@@ -339,7 +316,7 @@ def check_bound_inequalities(level: str) -> CheckResult:
     )
 
 
-def check_growth_function(level: str) -> CheckResult:
+def check_growth_function() -> CheckResult:
     bad = []
     for i in range(999):
         x = 0.0005 + i * (0.4995 - 0.0005) / 998
@@ -368,8 +345,7 @@ def check_growth_function(level: str) -> CheckResult:
     )
 
 
-def check_growth_bridge(level: str) -> CheckResult:
-    sample = (10, 50, 200) if level == "quick" else (10, 50, 200, 1000, 2000)
+def check_growth_bridge(sample: tuple[int, ...]) -> CheckResult:
     bad = []
     x_star = critical_point()
     g_star = growth_rate(x_star)
@@ -414,8 +390,52 @@ ALL_CHECKS = (
 )
 
 
+# Sizes per level, keyed by family name: the keyword arguments of check_<family>.
+BOUNDS = {
+    "quick": {
+        "permutation_statistics": {"top": 6},
+        "catalan_oracle": {"top": 6},
+        "two_stack_oracle": {"top": 6},
+        "descent_refinement_oracle": {"top": 6},
+        "descent_refinement_algebra": {"top": 120},
+        "sortability_structure": {"top": 6, "avoid_top": 6},
+        "series_machine_equivalence": {"top": 6},
+        "forbidden_factors": {"top": 6},
+        "codec_roundtrip": {"top": 6},
+        "projection": {"top": 6},
+        "factor_descent_bijections": {"top": 6},
+        "placement_membership": {"top": 6},
+        "one_stack_word_count": {"top": 6},
+        "bound_inequalities": {"top3": 6, "top_trivial": 6},
+        "growth_function": {},
+        "growth_bridge": {"sample": (10, 50, 200)},
+    },
+    "full": {
+        "permutation_statistics": {"top": 8},
+        "catalan_oracle": {"top": 8},
+        "two_stack_oracle": {"top": 8},
+        "descent_refinement_oracle": {"top": 7},
+        "descent_refinement_algebra": {"top": 300},
+        "sortability_structure": {"top": 7, "avoid_top": 8},
+        "series_machine_equivalence": {"top": 7},
+        "forbidden_factors": {"top": 7},
+        "codec_roundtrip": {"top": 7},
+        "projection": {"top": 7},
+        "factor_descent_bijections": {"top": 7},
+        "placement_membership": {"top": 7},
+        "one_stack_word_count": {"top": 8},
+        "bound_inequalities": {"top3": 9, "top_trivial": 8},
+        "growth_function": {},
+        "growth_bridge": {"sample": (10, 50, 200, 1000, 2000)},
+    },
+}
+
+LEVELS = tuple(BOUNDS)
+
+
 def run_verification(level: str = "quick") -> list[CheckResult]:
-    """Run every property family at the given level ("quick" or "full")."""
-    if level not in LEVELS:
+    """Run every family in ALL_CHECKS with its sizes from BOUNDS[level]."""
+    if level not in BOUNDS:
         raise ValueError(f"unknown level {level!r}, expected one of {LEVELS}")
-    return [check(level) for check in ALL_CHECKS]
+    row = BOUNDS[level]
+    return [check(**row[check.__name__.removeprefix("check_")]) for check in ALL_CHECKS]

@@ -54,7 +54,12 @@ class StackWord:
     def indices(self) -> tuple[int, ...]:
         """Letters as positions in the alphabet (0 = input push)."""
         pos = {ch: i for i, ch in enumerate(self.alphabet)}
-        return tuple(pos[ch] for ch in self.letters)
+        try:
+            return tuple(pos[ch] for ch in self.letters)
+        except KeyError as exc:
+            letter = exc.args[0]
+            at = self.letters.index(letter) + 1
+            raise ValueError(f"unknown letter {letter!r} at position {at}, not in alphabet {self.alphabet!r}") from None
 
     def __str__(self) -> str:
         return self.letters
@@ -256,8 +261,3 @@ def enumerate_a_placements(v: StackWord, entries: int) -> Iterator[StackWord]:
                 parts.append("A" * (forced[slot] + occupancy[slot]))
         yield StackWord("".join(parts), "ABCD")
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -13,41 +13,32 @@ loosened.
 """
 import time
 
-from stackwords.counting import (
-    binomial,
-    brute_force_count,
-    brute_force_image_descent_counts,
-    catalan,
-    three_stack_bound,
-    two_stack_count,
-    two_stack_count_by_descents,
-)
+from stackwords.counting import catalan, two_stack_count
 from stackwords.growth import (
     bound_nth_root,
     critical_point,
-    growth_rate,
-    growth_rate_unsimplified,
     maximize_growth_rate,
     summand_nth_root,
 )
-from stackwords.machine import (
-    encode,
-    is_t_stack_sortable,
-    iterate_stack_sort,
-    run_series_machine,
-    stack_sort,
-)
-from stackwords.perms import all_permutations, descent_count, format_permutation
-from stackwords.words import (
-    StackWord,
-    count_factor,
-    decode,
-    enumerate_a_placements,
-    forbidden_factor_violations,
-    image_word,
+from stackwords.verify import (
+    check_bound_inequalities,
+    check_catalan_oracle,
+    check_codec_roundtrip,
+    check_descent_refinement_algebra,
+    check_descent_refinement_oracle,
+    check_forbidden_factors,
+    check_growth_function,
+    check_placement_membership,
+    check_projection,
+    check_series_machine_equivalence,
+    check_two_stack_oracle,
 )
 
 CATALAN_TABLE = [1, 2, 5, 14, 42, 132, 429, 1430]
+
+
+def _witnesses(*results) -> list[str]:
+    return [f"{r.name}: {w}" for r in results for w in r.witnesses]
 
 
 def _finish(number: int, name: str, failures: list[str], started: float, cap: float) -> None:
@@ -61,141 +52,61 @@ def _finish(number: int, name: str, failures: list[str], started: float, cap: fl
 
 def test_criterion_01_catalan_oracle():
     started = time.perf_counter()
-    failures = []
-    for n in range(1, 9):
-        got = brute_force_count(n, 1)
-        if got != catalan(n) or got != CATALAN_TABLE[n - 1]:
-            failures.append(f"n={n}: brute {got}, formula {catalan(n)}, table {CATALAN_TABLE[n - 1]}")
+    failures = _witnesses(check_catalan_oracle(top=8))
+    if [catalan(n) for n in range(1, 9)] != CATALAN_TABLE:
+        failures.append(f"catalan(1..8) differs from the table {CATALAN_TABLE}")
     _finish(1, "1-stack sortable counts match the Catalan formula, n <= 8", failures, started, 10)
 
 
 def test_criterion_02_two_stack_formula_oracle():
     started = time.perf_counter()
-    failures = []
+    failures = _witnesses(check_two_stack_oracle(top=8))
     if two_stack_count(4) != 22:
         failures.append(f"two_stack_count(4) = {two_stack_count(4)} != 22")
-    for n in range(1, 9):
-        got = brute_force_count(n, 2)
-        if got != two_stack_count(n):
-            failures.append(f"n={n}: brute {got} != formula {two_stack_count(n)}")
     _finish(2, "2-stack sortable counts match the closed formula, n <= 8", failures, started, 30)
 
 
 def test_criterion_03_descent_refinement_oracle():
     started = time.perf_counter()
-    failures = []
-    for n in range(1, 8):
-        tallies: dict[int, int] = {}
-        for p in all_permutations(n):
-            if is_t_stack_sortable(p, 2):
-                d = descent_count(p)
-                tallies[d] = tallies.get(d, 0) + 1
-        for d in range(n):
-            if tallies.get(d, 0) != two_stack_count_by_descents(n, d):
-                failures.append(
-                    f"n={n} d={d}: brute {tallies.get(d, 0)} != formula "
-                    f"{two_stack_count_by_descents(n, d)}"
-                )
-    for n in range(1, 301):
-        if sum(two_stack_count_by_descents(n, d) for d in range(n)) != two_stack_count(n):
-            failures.append(f"n={n}: descent refinement does not sum to the total")
+    failures = _witnesses(check_descent_refinement_oracle(top=7), check_descent_refinement_algebra(top=300))
     _finish(3, "descent refinement matches brute force (n <= 7) and sums exactly (n <= 300)", failures, started, 30)
 
 
 def test_criterion_04_per_descent_and_aggregate_bounds():
     started = time.perf_counter()
-    failures = []
-    for n in range(1, 10):
-        tallies = brute_force_image_descent_counts(n)
-        for d, tally in tallies.items():
-            k = d + 1
-            cap = two_stack_count_by_descents(n, d) * binomial(2 * n - 2 * k, n - 1)
-            if tally > cap:
-                failures.append(f"n={n} d={d}: tally {tally} exceeds cap {cap}")
-        total = sum(tallies.values())
-        if total > three_stack_bound(n):
-            failures.append(f"n={n}: count {total} exceeds bound {three_stack_bound(n)}")
+    failures = _witnesses(check_bound_inequalities(top3=9, top_trivial=8))
     _finish(4, "per-descent caps and aggregate 3-stack bound hold, n <= 9", failures, started, 300)
 
 
 def test_criterion_05_forbidden_factors_absent():
     started = time.perf_counter()
-    failures = []
-    for n in range(8):
-        for p in all_permutations(n):
-            hits = forbidden_factor_violations(encode(p, 3))
-            if hits:
-                failures.append(f"p={format_permutation(p)}: {hits}")
+    failures = _witnesses(check_forbidden_factors(top=7))
     _finish(5, "no forbidden factor in any 3-stack trace, n <= 7", failures, started, 120)
 
 
 def test_criterion_06_codec_roundtrip_and_projection():
     started = time.perf_counter()
-    failures = []
-    for n in range(8):
-        for p in all_permutations(n):
-            for t in (1, 2, 3):
-                if is_t_stack_sortable(p, t) and decode(encode(p, t)) != p:
-                    failures.append(f"p={format_permutation(p)} t={t}: roundtrip failed")
-            if is_t_stack_sortable(p, 3):
-                projected = image_word(encode(p, 3))
-                direct = encode(stack_sort(p), 2)
-                if projected.indices() != direct.indices():
-                    failures.append(f"p={format_permutation(p)}: projection mismatch")
+    failures = _witnesses(check_codec_roundtrip(top=7), check_projection(top=7))
     _finish(6, "decode(encode(p)) == p for sortable p; projection is the image's word, n <= 7", failures, started, 120)
 
 
 def test_criterion_07_series_machine_equivalence():
     started = time.perf_counter()
-    failures = []
-    for n in range(8):
-        for p in all_permutations(n):
-            for t in (1, 2, 3, 4):
-                if run_series_machine(p, t).output != iterate_stack_sort(p, t):
-                    failures.append(f"p={format_permutation(p)} t={t}")
+    failures = _witnesses(check_series_machine_equivalence(top=7))
     _finish(7, "greedy series machine equals iterated stack sort, n <= 7, t <= 4", failures, started, 120)
 
 
 def test_criterion_08_placement_membership_and_cardinality():
     started = time.perf_counter()
-    failures = []
-    for n in range(1, 8):
-        by_projection: dict[str, set[str]] = {}
-        for p in all_permutations(n):
-            if is_t_stack_sortable(p, 3):
-                w = encode(p, 3)
-                by_projection.setdefault(image_word(w).letters, set()).add(w.letters)
-        for v_letters, traces in by_projection.items():
-            v = StackWord(v_letters, "BCD")
-            candidates = {w.letters for w in enumerate_a_placements(v, n)}
-            k = count_factor(v, "BB") + 1
-            expected = binomial(2 * n - 2 * k, n - 1)
-            if len(candidates) != expected:
-                failures.append(f"v={v_letters}: {len(candidates)} candidates != {expected}")
-            if not traces <= candidates:
-                failures.append(f"v={v_letters}: {len(traces - candidates)} traces missing")
+    failures = _witnesses(check_placement_membership(top=7))
     _finish(8, "every trace appears among its projection's candidates; stream sizes exact, n <= 7", failures, started, 120)
 
 
 def test_criterion_09_growth_rate_maximization():
     started = time.perf_counter()
-    failures = []
-    found = maximize_growth_rate(1e-10)
-    closed = critical_point()
-    if abs(found.x_star - closed) > 1e-7:
-        failures.append(f"maximizer {found.x_star} vs closed form {closed}")
-    if abs(closed - 0.2883918927) > 1e-8:
-        failures.append(f"closed form {closed} != 0.2883918927")
-    if abs(found.g_star - 12.53296) > 5e-5:
-        failures.append(f"maximum {found.g_star} not within 5e-5 of 12.53296")
-    for i in range(999):
-        x = 0.0005 + i * (0.4995 - 0.0005) / 998
-        a, b = growth_rate(x), growth_rate_unsimplified(x)
-        if abs(a - b) / a > 1e-11:
-            failures.append(f"forms disagree at x={x}")
-            break
-    if abs(growth_rate(0.5) - 6.75) > 1e-9:
-        failures.append(f"growth_rate(1/2) = {growth_rate(0.5)} != 27/4")
+    failures = _witnesses(check_growth_function())
+    if abs(critical_point() - 0.2883918927) > 1e-8:
+        failures.append(f"closed form {critical_point()} != 0.2883918927")
     _finish(9, "maximizers agree; value 12.53296 to 5e-5; forms identical; endpoint 27/4", failures, started, 1)
 
 

@@ -121,14 +121,6 @@ class TestCount:
         assert lines[0] == "key,value"
         assert "formula,14" in lines
 
-    def test_cache_roundtrip(self, capsys, tmp_path):
-        cache = tmp_path / "counts.csv"
-        code1, out1, _ = run(capsys, "--cache", str(cache), "--format", "json", "count", "-n", "5", "-t", "2", "--mode", "brute")
-        assert code1 == 0
-        assert cache.read_text().strip().splitlines() == ["n,t,count", "5,2,91"]
-        code2, out2, _ = run(capsys, "--cache", str(cache), "--format", "json", "count", "-n", "5", "-t", "2", "--mode", "brute")
-        assert (code2, out2) == (code1, out1)
-
 
 class TestBound:
     def test_three_stack_bounds(self, capsys):

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stackwords.counting import (
-    CountCache,
     _exact_div,
     binomial,
     brute_force_count,
@@ -167,21 +166,3 @@ class TestExactDivision:
         with pytest.raises(ArithmeticError, match="not divisible"):
             _exact_div(13, 4, "test")
 
-
-class TestCountCache:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "counts.csv"
-        cache = CountCache(path)
-        assert cache.get(4, 2) is None
-        assert cache.counted(4, 2) == 22
-        cache.save()
-        assert path.read_text().splitlines()[0] == "n,t,count"
-        reloaded = CountCache(path)
-        assert reloaded.get(4, 2) == 22
-
-    def test_cached_value_is_reused(self, tmp_path):
-        path = tmp_path / "counts.csv"
-        cache = CountCache(path)
-        cache.put(3, 1, 999)  # wrong on purpose: cached values are advisory
-        assert cache.counted(3, 1) == 999
-        assert brute_force_count(3, 1) == 5

@@ -1,6 +1,7 @@
 import pytest
 
 import stackwords.verify as verify
+from stackwords.words import StackWord
 
 
 def test_quick_level_all_pass():
@@ -19,7 +20,7 @@ def test_failures_carry_witnesses(monkeypatch):
     # sabotage the formula the check compares against; the report must
     # name a concrete witness
     monkeypatch.setattr(verify, "catalan", lambda n: 999)
-    result = verify.check_catalan_oracle("quick")
+    result = verify.check_catalan_oracle(top=6)
     assert not result.passed
     assert result.witnesses
     assert "999" in result.witnesses[0]
@@ -27,7 +28,33 @@ def test_failures_carry_witnesses(monkeypatch):
 
 def test_witness_lists_are_truncated(monkeypatch):
     monkeypatch.setattr(verify, "catalan", lambda n: -1)
-    result = verify.check_catalan_oracle("full")
+    result = verify.check_catalan_oracle(top=8)
     assert not result.passed
     assert len(result.witnesses) <= verify._MAX_WITNESSES + 1
     assert result.witnesses[-1].endswith("more")
+
+
+# One wrong dependency per family that an acceptance criterion delegates
+# to: each check must notice it and report a witness.
+_SABOTAGE = {
+    "catalan_oracle": ("catalan", lambda n: -1),
+    "two_stack_oracle": ("two_stack_count", lambda n: -1),
+    "descent_refinement_oracle": ("two_stack_count_by_descents", lambda n, d: -1),
+    "descent_refinement_algebra": ("two_stack_count", lambda n: -1),
+    "bound_inequalities": ("three_stack_bound", lambda n: 0),
+    "forbidden_factors": ("forbidden_factor_violations", lambda w: [("BB", 0)]),
+    "codec_roundtrip": ("decode", lambda w: ()),
+    "projection": ("image_word", lambda w: StackWord("", "BCD")),
+    "series_machine_equivalence": ("iterate_stack_sort", lambda p, t: p),
+    "placement_membership": ("enumerate_a_placements", lambda v, n: iter(())),
+    "growth_function": ("critical_point", lambda: 0.25),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SABOTAGE))
+def test_each_delegated_check_can_fail(monkeypatch, family):
+    name, wrong = _SABOTAGE[family]
+    monkeypatch.setattr(verify, name, wrong)
+    result = getattr(verify, f"check_{family}")(**verify.BOUNDS["quick"][family])
+    assert result.passed is False
+    assert result.witnesses

@@ -124,6 +124,10 @@ class TestDecode:
     def test_examples(self, letters, stacks, expected):
         assert decode(validate_word(letters, stacks)) == expected
 
+    def test_letter_outside_alphabet(self):
+        with pytest.raises(ValueError, match="unknown letter 'X' at position 2"):
+            decode(StackWord("AXB", "AB"))
+
     def test_pop_from_empty_stack(self):
         with pytest.raises(ValueError, match="pops an empty stack"):
             decode(StackWord("BACD", "ABCD"))
