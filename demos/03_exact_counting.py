@@ -11,7 +11,7 @@ counts.
 Run:  python3 demos/03_exact_counting.py
 """
 from stackwords import (
-    binomial,
+    bound_summand,
     brute_force_count,
     brute_force_image_descent_counts,
     three_stack_bound,
@@ -43,8 +43,7 @@ n = 6
 tallies = brute_force_image_descent_counts(n)
 total_cap = 0
 for d in sorted(tallies):
-    k = d + 1
-    cap = two_stack_count_by_descents(n, d) * binomial(2 * n - 2 * k, n - 1)
+    cap = bound_summand(n, d + 1)
     total_cap += cap
     print(f"  d={d}: {tallies[d]:>5} permutations  <=  cap {cap:>6}")
 print(f"  total {sum(tallies.values())} <= {total_cap} = three_stack_bound({n}) = {three_stack_bound(n)}")

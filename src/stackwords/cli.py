@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .counting import (
@@ -135,6 +136,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
     text: list[str] = []
     exit_code = EXIT_OK
 
+    if mode in ("brute", "both") and n > args.enumeration_limit:
+        raise ValueError(f"n={n} exceeds enumeration limit {args.enumeration_limit}")
+
     formula_value: int | None = None
     bound_value: int | None = None
     if mode in ("formula", "both"):
@@ -153,8 +157,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
     brute_value: int | None = None
     if mode in ("brute", "both"):
-        if n > args.enumeration_limit:
-            raise ValueError(f"n={n} exceeds enumeration limit {args.enumeration_limit}")
         brute_value = brute_force_count(n, t, args.enumeration_limit)
         payload["brute"] = brute_value
         text.append(f"brute-force count: {brute_value}")
@@ -233,8 +235,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _positive_float(value: str) -> float:
     x = float(value)
-    if x <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not math.isfinite(x) or x <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return x
 
 

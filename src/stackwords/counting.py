@@ -87,15 +87,25 @@ def two_stack_count_by_descents(n: int, d: int) -> int:
     return _exact_div(numerator, denominator, "two_stack_count_by_descents")
 
 
+def bound_summand(n: int, k: int) -> int:
+    """
+    The k-th summand of the 3-stack insertion bound: the 2-stack sortable
+    images of length n with k-1 descents, times the C(2n-2k, n-1) ways to
+    put the A's back into each one's projected word. Nonzero exactly for
+    1 <= k <= floor((n+1)/2); k must not exceed n.
+
+    >>> [bound_summand(4, k) for k in (1, 2)]
+    [20, 40]
+    """
+    return two_stack_count_by_descents(n, k - 1) * binomial(2 * n - 2 * k, n - 1)
+
+
 def three_stack_bound(n: int) -> int:
     """
     An upper bound for the number of 3-stack sortable permutations of
     length n, by counting candidate reinsertions of the input-push moves
-    into each possible projected word:
-
-        sum over k of two_stack_count_by_descents(n, k-1) * C(2n-2k, n-1)
-
-    for k = 1 .. floor((n+1)/2). This is a bound, not a count: no closed
+    into each possible projected word: the sum of bound_summand(n, k) for
+    k = 1 .. floor((n+1)/2). This is a bound, not a count: no closed
     formula for the t = 3 count is known.
 
     >>> [three_stack_bound(n) for n in range(1, 5)]
@@ -103,10 +113,7 @@ def three_stack_bound(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    return sum(
-        two_stack_count_by_descents(n, k - 1) * binomial(2 * n - 2 * k, n - 1)
-        for k in range(1, (n + 1) // 2 + 1)
-    )
+    return sum(bound_summand(n, k) for k in range(1, (n + 1) // 2 + 1))
 
 
 def trivial_bound(n: int, t: int) -> int:

@@ -16,9 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .counting import binomial, three_stack_bound, two_stack_count_by_descents
+from .counting import bound_summand, three_stack_bound
 
 _EDGE = 1e-9  # search interval is [_EDGE, 0.5 - _EDGE]
+# Near x* ~ 0.29 doubles are 5.6e-17 apart: a bracket cannot shrink
+# below a few of those, so a smaller tolerance would never stop the
+# search. 1e-15 keeps a margin.
+_MIN_TOLERANCE = 1e-15
 _UNIMODALITY_GRID = 10_000
 
 MAXIMIZER_METHODS = ("golden_section", "derivative_bisection")
@@ -164,8 +168,8 @@ def maximize_growth_rate(tolerance: float = 1e-10, method: str = "golden_section
     derivative_bisection method is an independent cross-check. Either way
     the result should match critical_point() to ~1e-7.
     """
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not math.isfinite(tolerance) or tolerance < _MIN_TOLERANCE:
+        raise ValueError(f"tolerance must be finite and at least {_MIN_TOLERANCE}, got {tolerance}")
     if method not in MAXIMIZER_METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {MAXIMIZER_METHODS}")
     _assert_unimodal()
@@ -194,8 +198,7 @@ def summand_nth_root(n: int, x: float) -> float:
     k = round(x * n)
     if not 1 <= k <= (n + 1) // 2:
         raise ValueError(f"k={k} from x={x} outside 1..{(n + 1) // 2}")
-    summand = two_stack_count_by_descents(n, k - 1) * binomial(2 * n - 2 * k, n - 1)
-    return math.exp(math.log(summand) / n)
+    return math.exp(math.log(bound_summand(n, k)) / n)
 
 
 def bound_nth_root(n: int) -> float:

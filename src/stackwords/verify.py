@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .counting import (
     binomial,
+    bound_summand,
     brute_force_count,
     brute_force_image_descent_counts,
     catalan,
@@ -118,12 +119,10 @@ def check_descent_refinement_oracle(top: int) -> CheckResult:
 def check_descent_refinement_algebra(top: int) -> CheckResult:
     bad = []
     for n in range(1, top + 1):
-        if sum(two_stack_count_by_descents(n, d) for d in range(n)) != two_stack_count(n):
+        row = [two_stack_count_by_descents(n, d) for d in range(n)]
+        if sum(row) != two_stack_count(n):
             bad.append(f"n={n}: descent counts do not sum to the total")
-        if any(
-            two_stack_count_by_descents(n, d) != two_stack_count_by_descents(n, n - 1 - d)
-            for d in range(n)
-        ):
+        if row != row[::-1]:
             bad.append(f"n={n}: descent counts not symmetric")
     return _result("descent_refinement_algebra", f"sum and symmetry identities for n <= {top}", bad)
 
@@ -299,8 +298,7 @@ def check_bound_inequalities(top3: int, top_trivial: int) -> CheckResult:
     for n in range(1, top3 + 1):
         tallies = brute_force_image_descent_counts(n)
         for d, tally in tallies.items():
-            k = d + 1
-            cap = two_stack_count_by_descents(n, d) * binomial(2 * n - 2 * k, n - 1)
+            cap = bound_summand(n, d + 1)
             if tally > cap:
                 bad.append(f"n={n} d={d}: {tally} exceeds per-descent cap {cap}")
         if sum(tallies.values()) > three_stack_bound(n):

@@ -129,8 +129,6 @@ _FORBIDDEN_RULES = (
     ("CA", re.compile(r"(?=CA)")),
 )
 
-FORBIDDEN_RULE_NAMES = tuple(name for name, _ in _FORBIDDEN_RULES)
-
 
 def forbidden_factor_violations(word: StackWord) -> list[tuple[str, int]]:
     """

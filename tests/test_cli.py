@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -108,6 +110,14 @@ class TestCount:
         assert code == 2
         assert "enumeration limit" in err
 
+    def test_enumeration_limit_checked_before_the_bound(self, capsys):
+        # no formula work first: three_stack_bound(4000) alone takes seconds
+        # and its decimal form exceeds Python's int-to-str digit limit
+        code, out, err = run(capsys, "count", "-n", "4000", "-t", "3")
+        assert code == 2
+        assert out == ""
+        assert "enumeration limit" in err
+
     def test_limit_flag_is_capped(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--limit", "13", "count", "-n", "4", "-t", "1"])
@@ -135,9 +145,21 @@ class TestBound:
         assert payload == {"n": 3, "t": 2, "trivial_bound": 729}
 
 
+@pytest.fixture(scope="class")
+def asymptote_json_runs():
+    # two JSON runs shared by the class; capsys is per test, so capture here
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--format", "json", "asymptote"])
+        runs.append((code, out.getvalue()))
+    return runs
+
+
 class TestAsymptote:
-    def test_json_payload(self, capsys):
-        code, out, _ = run(capsys, "--format", "json", "asymptote")
+    def test_json_payload(self, asymptote_json_runs):
+        code, out = asymptote_json_runs[0]
         assert code == 0
         payload = json.loads(out)
         assert abs(payload["x_star"] - 0.2883918927) < 1e-7
@@ -156,9 +178,8 @@ class TestAsymptote:
         assert lines[0] == "n,bound_nth_root"
         assert len(lines) == 6
 
-    def test_deterministic_json(self, capsys):
-        _, first, _ = run(capsys, "--format", "json", "asymptote")
-        _, second, _ = run(capsys, "--format", "json", "asymptote")
+    def test_deterministic_json(self, asymptote_json_runs):
+        (_, first), (_, second) = asymptote_json_runs
         assert first == second
 
 
@@ -190,3 +211,9 @@ class TestUsage:
             main(["--tolerance", "0", "asymptote"])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    def test_nonfinite_tolerance(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--tolerance", "nan", "asymptote"])
+        assert excinfo.value.code == 2
+        assert "finite" in capsys.readouterr().err

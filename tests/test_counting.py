@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stackwords import verify
 from stackwords.counting import (
     _exact_div,
     binomial,
@@ -13,8 +14,6 @@ from stackwords.counting import (
     two_stack_count,
     two_stack_count_by_descents,
 )
-from stackwords.machine import is_t_stack_sortable
-from stackwords.perms import all_permutations, descent_count
 
 # brute-force values, frozen from exhaustive enumeration
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -63,8 +62,8 @@ class TestTwoStackCount:
             two_stack_count(0)
 
     def test_matches_brute_force(self):
-        for n in range(1, 7):
-            assert brute_force_count(n, 2) == two_stack_count(n)
+        result = verify.check_two_stack_oracle(top=6)
+        assert result.passed, result.witnesses
 
 
 class TestByDescents:
@@ -79,22 +78,13 @@ class TestByDescents:
         assert two_stack_count_by_descents(4, 4) == 0
 
     def test_matches_brute_force(self):
-        for n in range(1, 7):
-            tallies = {}
-            for p in all_permutations(n):
-                if is_t_stack_sortable(p, 2):
-                    d = descent_count(p)
-                    tallies[d] = tallies.get(d, 0) + 1
-            for d in range(n):
-                assert tallies.get(d, 0) == two_stack_count_by_descents(n, d), (n, d)
+        result = verify.check_descent_refinement_oracle(top=6)
+        assert result.passed, result.witnesses
 
-    @given(st.integers(1, 80))
-    def test_sums_to_total(self, n):
-        assert sum(two_stack_count_by_descents(n, d) for d in range(n)) == two_stack_count(n)
-
-    @given(st.integers(1, 80), st.integers(0, 79))
-    def test_symmetry(self, n, d):
-        assert two_stack_count_by_descents(n, d) == two_stack_count_by_descents(n, n - 1 - d)
+    def test_sums_to_total(self):
+        # together with the symmetry of each row
+        result = verify.check_descent_refinement_algebra(top=80)
+        assert result.passed, result.witnesses
 
 
 class TestThreeStackBound:
@@ -102,8 +92,9 @@ class TestThreeStackBound:
         assert [three_stack_bound(n) for n in range(1, 10)] == THREE_STACK_BOUND
 
     def test_bounds_the_count(self):
-        for n in range(1, 7):
-            assert brute_force_count(n, 3) <= three_stack_bound(n)
+        # per-descent caps, the aggregate bound, and the trivial bound for t <= 3
+        result = verify.check_bound_inequalities(top3=6, top_trivial=6)
+        assert result.passed, result.witnesses
 
     def test_tight_for_tiny_lengths(self):
         assert three_stack_bound(1) == 1
@@ -118,11 +109,6 @@ class TestTrivialBound:
     @pytest.mark.parametrize("n, t, expected", [(2, 1, 16), (1, 3, 16), (3, 2, 729)])
     def test_values(self, n, t, expected):
         assert trivial_bound(n, t) == expected
-
-    def test_dominates_brute_force(self):
-        for n in range(1, 7):
-            for t in (1, 2, 3):
-                assert brute_force_count(n, t) <= trivial_bound(n, t)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

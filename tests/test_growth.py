@@ -101,6 +101,19 @@ class TestMaximize:
             maximize_growth_rate(1e-10, "newton")
         assert MAXIMIZER_METHODS == ("golden_section", "derivative_bisection")
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 1e-20])
+    @pytest.mark.parametrize("method", MAXIMIZER_METHODS)
+    def test_unreachable_tolerance_rejected(self, tolerance, method):
+        # nan and inf end the search at once; 1e-20 is below the float
+        # spacing at x*, so the bracket would never get that narrow
+        with pytest.raises(ValueError, match="finite and at least"):
+            maximize_growth_rate(tolerance, method)
+
+    @pytest.mark.parametrize("method", MAXIMIZER_METHODS)
+    def test_smallest_tolerance_terminates(self, method):
+        found = maximize_growth_rate(1e-15, method)
+        assert abs(found.x_star - X_STAR) < 1e-7
+
 
 class TestSummandRoot:
     def test_frozen_values(self):

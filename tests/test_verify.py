@@ -34,26 +34,36 @@ def test_witness_lists_are_truncated(monkeypatch):
     assert result.witnesses[-1].endswith("more")
 
 
-# One wrong dependency per family that an acceptance criterion delegates
-# to: each check must notice it and report a witness.
-_SABOTAGE = {
-    "catalan_oracle": ("catalan", lambda n: -1),
-    "two_stack_oracle": ("two_stack_count", lambda n: -1),
-    "descent_refinement_oracle": ("two_stack_count_by_descents", lambda n, d: -1),
-    "descent_refinement_algebra": ("two_stack_count", lambda n: -1),
-    "bound_inequalities": ("three_stack_bound", lambda n: 0),
-    "forbidden_factors": ("forbidden_factor_violations", lambda w: [("BB", 0)]),
-    "codec_roundtrip": ("decode", lambda w: ()),
-    "projection": ("image_word", lambda w: StackWord("", "BCD")),
-    "series_machine_equivalence": ("iterate_stack_sort", lambda p, t: p),
-    "placement_membership": ("enumerate_a_placements", lambda v, n: iter(())),
-    "growth_function": ("critical_point", lambda: 0.25),
-}
+# One wrong dependency per case, for every family that an acceptance
+# criterion or a unit test delegates to: each check must notice it and
+# report a witness.
+_SABOTAGE = [
+    ("catalan_oracle", "catalan", lambda n: -1),
+    ("two_stack_oracle", "two_stack_count", lambda n: -1),
+    ("descent_refinement_oracle", "two_stack_count_by_descents", lambda n, d: -1),
+    ("descent_refinement_algebra", "two_stack_count", lambda n: -1),
+    ("bound_inequalities", "three_stack_bound", lambda n: 0),
+    ("bound_inequalities", "trivial_bound", lambda n, t: 0),
+    ("forbidden_factors", "forbidden_factor_violations", lambda w: [("BB", 0)]),
+    ("codec_roundtrip", "decode", lambda w: ()),
+    ("projection", "image_word", lambda w: StackWord("", "BCD")),
+    ("factor_descent_bijections", "count_factor", lambda w, factor: -1),
+    ("series_machine_equivalence", "iterate_stack_sort", lambda p, t: p),
+    ("placement_membership", "enumerate_a_placements", lambda v, n: iter(())),
+    ("growth_function", "critical_point", lambda: 0.25),
+]
 
 
-@pytest.mark.parametrize("family", sorted(_SABOTAGE))
-def test_each_delegated_check_can_fail(monkeypatch, family):
-    name, wrong = _SABOTAGE[family]
+def _case_ids(cases):
+    # the family, plus the patched name from a family's second case on
+    seen = set()
+    for family, name, _ in cases:
+        yield f"{family}-{name}" if family in seen else family
+        seen.add(family)
+
+
+@pytest.mark.parametrize("family, name, wrong", _SABOTAGE, ids=list(_case_ids(_SABOTAGE)))
+def test_each_delegated_check_can_fail(monkeypatch, family, name, wrong):
     monkeypatch.setattr(verify, name, wrong)
     result = getattr(verify, f"check_{family}")(**verify.BOUNDS["quick"][family])
     assert result.passed is False
