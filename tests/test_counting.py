@@ -81,10 +81,16 @@ class TestByDescents:
         result = verify.check_descent_refinement_oracle(top=6)
         assert result.passed, result.witnesses
 
-    def test_sums_to_total(self):
-        # together with the symmetry of each row
-        result = verify.check_descent_refinement_algebra(top=80)
-        assert result.passed, result.witnesses
+    @pytest.fixture(scope="class")
+    def algebra(self):
+        # one pass over the rows n <= 80 checks both the sum and the symmetry
+        return verify.check_descent_refinement_algebra(top=80)
+
+    def test_sums_to_total(self, algebra):
+        assert algebra.passed, algebra.witnesses
+
+    def test_symmetry(self, algebra):
+        assert algebra.passed, algebra.witnesses
 
 
 class TestThreeStackBound:
@@ -92,8 +98,8 @@ class TestThreeStackBound:
         assert [three_stack_bound(n) for n in range(1, 10)] == THREE_STACK_BOUND
 
     def test_bounds_the_count(self):
-        # per-descent caps, the aggregate bound, and the trivial bound for t <= 3
-        result = verify.check_bound_inequalities(top3=6, top_trivial=6)
+        # per-descent caps and the aggregate bound
+        result = verify.check_bound_inequalities(top3=6, top_trivial=0)
         assert result.passed, result.witnesses
 
     def test_tight_for_tiny_lengths(self):
@@ -109,6 +115,10 @@ class TestTrivialBound:
     @pytest.mark.parametrize("n, t, expected", [(2, 1, 16), (1, 3, 16), (3, 2, 729)])
     def test_values(self, n, t, expected):
         assert trivial_bound(n, t) == expected
+
+    def test_dominates_brute_force(self):
+        result = verify.check_bound_inequalities(top3=0, top_trivial=6)
+        assert result.passed, result.witnesses
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
