@@ -36,6 +36,8 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
 HARD_ENUMERATION_CAP = 12
+# Python's default int-to-str limit: no printed integer may be longer
+MAX_PRINTED_DIGITS = 4300
 CONVERGENCE_SAMPLES = (10, 50, 200, 1000, 2000)
 
 
@@ -60,6 +62,16 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str], table:
     else:
         for line in text_lines:
             print(line)
+
+
+def _check_digit_cap(n: int, t: int) -> None:
+    # Every printed bound and count is at most (t+1)^(2n), which has
+    # floor(2n log10(t+1)) + 1 digits: refuse before any arithmetic.
+    if t >= 1 and 2 * n * math.log10(t + 1) >= MAX_PRINTED_DIGITS:
+        raise ValueError(
+            f"n={n}, t={t}: (t+1)^(2n) has more than {MAX_PRINTED_DIGITS} digits, "
+            f"the cap on printed integers"
+        )
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
@@ -142,6 +154,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     formula_value: int | None = None
     bound_value: int | None = None
     if mode in ("formula", "both"):
+        _check_digit_cap(n, t)
         if t == 1:
             formula_value = catalan(n)
         elif t == 2:
@@ -177,6 +190,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     n, t = args.length, args.stacks
+    _check_digit_cap(n, t)
     payload: dict = {"n": n, "t": t, "trivial_bound": trivial_bound(n, t)}
     text = [f"trivial upper bound (t+1)^(2n): {payload['trivial_bound']}"]
     if t == 3:

@@ -13,6 +13,7 @@ value 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,9 +104,12 @@ class GrowthMaximum:
     tolerance: float
 
 
+@functools.cache
 def _assert_unimodal() -> None:
     # One strict local maximum on a uniform grid of the open interval;
-    # anything else means the search below cannot be trusted.
+    # anything else means the search below cannot be trusted. The scan
+    # depends on no argument, so it runs once per process; a failed scan
+    # raises and is not cached.
     step = 0.5 / (_UNIMODALITY_GRID + 1)
     values = [_log_growth_rate((i + 1) * step) for i in range(_UNIMODALITY_GRID)]
     peaks = sum(

@@ -301,8 +301,13 @@ def check_bound_inequalities(top3: int, top_trivial: int) -> CheckResult:
             cap = bound_summand(n, d + 1)
             if tally > cap:
                 bad.append(f"n={n} d={d}: {tally} exceeds per-descent cap {cap}")
-        if sum(tallies.values()) > three_stack_bound(n):
-            bad.append(f"n={n}: 3-stack count {sum(tallies.values())} exceeds bound {three_stack_bound(n)}")
+        bound = three_stack_bound(n)
+        # the term-ratio recurrence against its factorial closed form
+        summed = sum(bound_summand(n, k) for k in range(1, (n + 1) // 2 + 1))
+        if bound != summed:
+            bad.append(f"n={n}: bound {bound} differs from its summed closed form {summed}")
+        if sum(tallies.values()) > bound:
+            bad.append(f"n={n}: 3-stack count {sum(tallies.values())} exceeds bound {bound}")
     for n in range(1, top_trivial + 1):
         for t in (1, 2, 3):
             if brute_force_count(n, t) > trivial_bound(n, t):

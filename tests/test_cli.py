@@ -111,12 +111,18 @@ class TestCount:
         assert "enumeration limit" in err
 
     def test_enumeration_limit_checked_before_the_bound(self, capsys):
-        # no formula work first: three_stack_bound(4000) alone takes seconds
-        # and its decimal form exceeds Python's int-to-str digit limit
+        # the enumeration limit is checked before any formula work or the
+        # digit cap, so the message names the limit the user asked for
         code, out, err = run(capsys, "count", "-n", "4000", "-t", "3")
         assert code == 2
         assert out == ""
         assert "enumeration limit" in err
+
+    def test_formula_digit_cap(self, capsys):
+        code, out, err = run(capsys, "count", "-n", "4000", "-t", "3", "--mode", "formula")
+        assert code == 2
+        assert out == ""
+        assert "n=4000, t=3: (t+1)^(2n) has more than 4300 digits" in err
 
     def test_limit_flag_is_capped(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -143,6 +149,21 @@ class TestBound:
         code, out, _ = run(capsys, "--format", "json", "bound", "-n", "3", "-t", "2")
         payload = json.loads(out)
         assert payload == {"n": 3, "t": 2, "trivial_bound": 729}
+
+    @pytest.mark.parametrize("n, t", [(4000, 3), (3000, 100)])
+    def test_digit_cap(self, capsys, n, t):
+        # (t+1)^(2n) would have more digits than any printed integer may
+        code, out, err = run(capsys, "bound", "-n", str(n), "-t", str(t))
+        assert code == 2
+        assert out == ""
+        assert f"n={n}, t={t}: (t+1)^(2n) has more than 4300 digits" in err
+
+    def test_largest_bounds_below_the_cap_print(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "bound", "-n", "3000", "-t", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["trivial_bound"] == 4**6000
+        assert len(str(payload["insertion_bound"])) > 3000
 
 
 @pytest.fixture(scope="class")

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stackwords.counting as counting
 from stackwords import verify
 from stackwords.counting import (
     _exact_div,
     binomial,
+    bound_summand,
     brute_force_count,
     brute_force_image_descent_counts,
     catalan,
@@ -109,6 +111,30 @@ class TestThreeStackBound:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             three_stack_bound(0)
+
+    @staticmethod
+    def _summed(n):
+        # the factorial closed form, one summand at a time
+        return sum(bound_summand(n, k) for k in range(1, (n + 1) // 2 + 1))
+
+    def test_recurrence_matches_closed_form(self):
+        assert [n for n in range(1, 301) if three_stack_bound(n) != self._summed(n)] == []
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_recurrence_matches_closed_form_at_large_n(self, n):
+        assert three_stack_bound(n) == self._summed(n)
+
+    def test_each_step_is_an_exact_division(self, monkeypatch):
+        seen = []
+
+        def spy(numerator, denominator, what):
+            seen.append(what)
+            return _exact_div(numerator, denominator, what)
+
+        monkeypatch.setattr(counting, "_exact_div", spy)
+        three_stack_bound(9)
+        # one checked division per term after the first
+        assert seen == ["three_stack_bound"] * 4
 
 
 class TestTrivialBound:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stackwords.growth as growth
 from stackwords.growth import (
     MAXIMIZER_METHODS,
     bound_nth_root,
@@ -113,6 +114,14 @@ class TestMaximize:
     def test_smallest_tolerance_terminates(self, method):
         found = maximize_growth_rate(1e-15, method)
         assert abs(found.x_star - X_STAR) < 1e-7
+
+    def test_two_peaks_rejected(self, monkeypatch):
+        # the scan runs once per process; clear its cache so this call
+        # scans the patched function instead of reusing an earlier pass
+        monkeypatch.setattr(growth, "_log_growth_rate", lambda x: math.sin(8 * math.pi * x))
+        growth._assert_unimodal.cache_clear()
+        with pytest.raises(RuntimeError, match="found 2"):
+            maximize_growth_rate(1e-10)
 
 
 class TestSummandRoot:
