@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Iterator, Sequence
 
 from .machine import is_t_stack_sortable, stack_sort
-from .perms import DEFAULT_ENUMERATION_LIMIT, all_permutations, descent_count
+from .perms import DEFAULT_ENUMERATION_LIMIT, Perm, all_permutations, descent_count
 
 _factorial = functools.lru_cache(maxsize=None)(math.factorial)
 
@@ -167,4 +168,117 @@ def brute_force_image_descent_counts(
         if is_t_stack_sortable(q, 2):
             d = descent_count(q)
             counts[d] = counts.get(d, 0) + 1
+    return counts
+
+
+def stack_sort_preimages(q: Sequence[int]) -> Iterator[Perm]:
+    """
+    Yield every p with stack_sort(p) == q. West's decomposition: for
+    p = L m R with m its maximum, stack_sort(p) = stack_sort(L)
+    stack_sort(R) m. So q has preimages only if it ends in its maximum m,
+    and then they are L + (m,) + R over each split q = q[:i] . q[i:-1],
+    with L a preimage of q[:i] and R one of q[i:-1]. The entries of q
+    need only be distinct.
+
+    Iterated from the identity it gives the 231-avoiders (1-stack
+    sortable), then the 2-stack sortable permutations, and so on.
+
+    >>> sorted(stack_sort_preimages((1, 2, 3)))
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1)]
+    >>> list(stack_sort_preimages((2, 1)))
+    []
+    """
+    q = tuple(q)
+    if not q:
+        yield ()
+        return
+    m = q[-1]
+    if m != max(q):
+        return
+    for i in range(len(q)):
+        rights = list(stack_sort_preimages(q[i:-1]))
+        if rights:
+            for left in stack_sort_preimages(q[:i]):
+                for right in rights:
+                    yield left + (m,) + right
+
+
+def _standardise(pattern: Sequence[int]) -> Perm:
+    # the permutation of 1..len(pattern) in the same relative order
+    rank = {v: r for r, v in enumerate(sorted(pattern), 1)}
+    return tuple(rank[v] for v in pattern)
+
+
+def image_fertilities(n: int) -> Iterator[tuple[Perm, int]]:
+    """
+    Yield (q, |stack_sort^-1(q)|) for each 2-stack sortable q of length n
+    with at least one preimage. The preimages of q are exactly the
+    3-stack sortable p with stack_sort(p) == q, so the fertilities sum to
+    the 3-stack sortable count.
+
+    The fertility follows West's decomposition without listing the
+    preimages: it is the sum, over the splits q = q[:i] . q[i:-1] whose
+    halves both end in their maximum, of the product of the halves'
+    fertilities. Those are memoised on the standardised half, in a table
+    that lives for this call only and holds patterns shorter than n.
+
+    >>> sorted(image_fertilities(3))
+    [((1, 2, 3), 5), ((2, 1, 3), 1)]
+    """
+    if n < 0:
+        raise ValueError(f"negative length {n}")
+    memo: dict[Perm, int] = {}
+
+    def fertility(q: Perm) -> int:
+        size = len(q)
+        if size <= 1:
+            return 1
+        if q[-1] != size:
+            return 0
+        if q in memo:
+            return memo[q]
+        body = q[:-1]
+        total = top = 0
+        for i in range(size):
+            if i:
+                if body[i - 1] < top:
+                    continue  # the left half does not end in its maximum
+                top = body[i - 1]
+            right = body[i:]
+            if right and right[-1] != max(right):
+                continue
+            left_count = fertility(_standardise(body[:i]))
+            if left_count:
+                total += left_count * fertility(_standardise(right))
+        if size < n:
+            memo[q] = total
+        return total
+
+    if n == 0:
+        yield (), 1
+        return
+    # Only images ending in n have preimages, and q = L n is 2-stack
+    # sortable iff L is, as stack_sort(L n) = stack_sort(L) n: so L runs
+    # over the 2-stack sortable permutations of length n - 1.
+    for avoider in stack_sort_preimages(range(1, n)):
+        for body in stack_sort_preimages(avoider):
+            q = body + (n,)
+            count = fertility(q)
+            if count:
+                yield q, count
+
+
+def image_descent_counts(n: int) -> dict[int, int]:
+    """
+    The fertilities of image_fertilities(n) summed by the descent count of
+    the image: the same tallies as brute_force_image_descent_counts(n),
+    without sweeping all n! permutations.
+
+    >>> image_descent_counts(5) == {0: 42, 1: 68, 2: 4}
+    True
+    """
+    counts: dict[int, int] = {}
+    for q, fertility in image_fertilities(n):
+        d = descent_count(q)
+        counts[d] = counts.get(d, 0) + fertility
     return counts

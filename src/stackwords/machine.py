@@ -34,11 +34,17 @@ def stack_sort(p: Sequence[int]) -> Perm:
 
 
 def iterate_stack_sort(p: Sequence[int], times: int) -> Perm:
-    """Apply stack_sort the given number of times (0 returns p unchanged)."""
+    """
+    Apply stack_sort the given number of times (0 returns p unchanged).
+    Stops once the identity appears, a fixed point that any p of length n
+    reaches within n-1 passes, so large counts cost no more than that.
+    """
     if times < 0:
         raise ValueError(f"negative pass count {times}")
     cur = tuple(p)
     for _ in range(times):
+        if is_identity(cur):
+            break
         cur = stack_sort(cur)
     return cur
 

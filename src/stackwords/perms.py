@@ -9,6 +9,7 @@ usual one-line notation.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Iterator, Sequence
 
@@ -91,7 +92,7 @@ def is_identity(p: Sequence[int]) -> bool:
     >>> is_identity((1, 2, 3)), is_identity((2, 1)), is_identity(())
     (True, False, True)
     """
-    return all(v == i + 1 for i, v in enumerate(p))
+    return tuple(p) == tuple(range(1, len(p) + 1))
 
 
 def descent_count(p: Sequence[int]) -> int:
@@ -119,24 +120,39 @@ def contains_pattern(p: Sequence[int], q: Sequence[int]) -> bool:
     k = len(q)
     if k == 0:
         return True
-    if k > len(p):
+    n = len(p)
+    if k > n:
         return False
+    # For each pattern position j, the earlier positions holding the
+    # nearest smaller and nearest larger pattern values (-1 if none): a
+    # candidate extends the chosen prefix iff it lies strictly between the
+    # entries chosen there.
+    position = {v: j for j, v in enumerate(q)}
+    below, above = [], []
+    seen: list[int] = []  # the values of q[:j], sorted
+    for v in q:
+        at = bisect.bisect(seen, v)
+        below.append(position[seen[at - 1]] if at else -1)
+        above.append(position[seen[at]] if at < len(seen) else -1)
+        seen.insert(at, v)
+    floor, ceiling = min(p) - 1, max(p) + 1
+    chosen = [0] * k
 
-    def extend(start: int, chosen: list[int]) -> bool:
-        j = len(chosen)
+    def extend(start: int, j: int) -> bool:
         if j == k:
             return True
+        low = chosen[below[j]] if below[j] >= 0 else floor
+        high = chosen[above[j]] if above[j] >= 0 else ceiling
         # leave enough room for the remaining pattern entries
-        for i in range(start, len(p) - (k - j) + 1):
+        for i in range(start, n - k + j + 1):
             v = p[i]
-            if all((v > w) == (q[j] > q[jj]) for jj, w in enumerate(chosen)):
-                chosen.append(v)
-                if extend(i + 1, chosen):
+            if low < v < high:
+                chosen[j] = v
+                if extend(i + 1, j + 1):
                     return True
-                chosen.pop()
         return False
 
-    return extend(0, [])
+    return extend(0, 0)
 
 
 def all_permutations(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[Perm]:

@@ -3,6 +3,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackwords.cli import main
 
@@ -38,6 +40,13 @@ class TestSort:
         assert payload["result"] == "123"
         assert payload["sortable"] is True
         assert payload["min_passes"] == 0
+
+    def test_huge_pass_count_stops_at_the_identity(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "sort", "21", "-t", "1000000000")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["result"] == "12"
+        assert payload["passes"] == 1000000000
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "sort", "2,2,1")
@@ -238,3 +247,36 @@ class TestUsage:
             main(["--tolerance", "nan", "asymptote"])
         assert excinfo.value.code == 2
         assert "finite" in capsys.readouterr().err
+
+
+_small = st.integers(-2, 7).map(str)
+# prefixes of a shuffled 1..7: some are permutations, the rest parse errors
+_perm_text = st.permutations("1234567").flatmap(lambda p: st.integers(0, 7).map(lambda n: "".join(p[:n])))
+_garbage = st.text("0123456789,", max_size=6)
+# verify at a valid level runs for seconds, so only its usage errors are drawn
+_argv = st.one_of(
+    st.tuples(st.just("sort"), _perm_text | _garbage, st.just("-t"), st.integers(-2, 10**9).map(str)),
+    st.tuples(st.just("word"), st.just("encode"), _perm_text, st.just("-t"), _small),
+    st.tuples(st.just("word"), st.just("decode"), st.text("ABCDE", max_size=8), st.just("-t"), _small),
+    st.tuples(
+        st.just("count"), st.just("-n"), _small, st.just("-t"), _small,
+        st.just("--mode"), st.sampled_from(["formula", "brute", "both"]),
+    ),
+    st.tuples(st.just("bound"), st.just("-n"), _small, st.just("-t"), _small),
+    st.tuples(st.just("asymptote")),
+    st.tuples(st.just("verify"), st.just("--level"), st.sampled_from(["", "slow", "QUICK"])),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["text", "json", "csv"]), _argv)
+    def test_exit_codes_and_no_traceback(self, output_format, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["--format", output_format, *argv])
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()

@@ -11,11 +11,16 @@ from stackwords.counting import (
     brute_force_count,
     brute_force_image_descent_counts,
     catalan,
+    image_descent_counts,
+    image_fertilities,
+    stack_sort_preimages,
     three_stack_bound,
     trivial_bound,
     two_stack_count,
     two_stack_count_by_descents,
 )
+from stackwords.machine import stack_sort
+from stackwords.perms import all_permutations
 
 # brute-force values, frozen from exhaustive enumeration
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -178,6 +183,44 @@ class TestBruteForce:
         for n in range(1, 7):
             tallies = brute_force_image_descent_counts(n)
             assert sum(tallies.values()) == brute_force_count(n, 3)
+
+
+class TestPreimageEngine:
+    def test_tallies_match_brute_force(self):
+        for n in range(9):
+            assert image_descent_counts(n) == brute_force_image_descent_counts(n), n
+
+    def test_preimages_match_brute_force(self):
+        for n in range(7):
+            by_image = {}
+            for p in all_permutations(n):
+                by_image.setdefault(stack_sort(p), []).append(p)
+            for q in all_permutations(n):
+                assert sorted(stack_sort_preimages(q)) == sorted(by_image.get(q, [])), q
+
+    def test_iterated_preimages_are_the_sortable_classes(self):
+        for n in range(1, 8):
+            level = [tuple(range(1, n + 1))]
+            counts = []
+            for _ in range(3):
+                level = [p for q in level for p in stack_sort_preimages(q)]
+                counts.append(len(level))
+            assert counts == [catalan(n), two_stack_count(n), brute_force_count(n, 3)], n
+            if n == 5:
+                # a generating tree that inserts the maximum finds only 90
+                assert counts[1] == 91
+
+    def test_fertilities_are_those_of_the_preimage_lists(self):
+        for q, fertility in image_fertilities(6):
+            assert fertility == sum(1 for _ in stack_sort_preimages(q)), q
+
+    def test_memo_is_local_to_one_call(self):
+        names = set(vars(counting))
+        assert list(image_fertilities(7)) == list(image_fertilities(7))
+        assert set(vars(counting)) == names
+        # the factorial cache predates the engine and is the only one
+        caches = [name for name, value in vars(counting).items() if hasattr(value, "cache_info")]
+        assert caches == ["_factorial"]
 
 
 class TestExactDivision:

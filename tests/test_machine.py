@@ -64,6 +64,10 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate_stack_sort((1,), -1)
 
+    def test_stops_at_the_fixed_point(self):
+        # the identity is reached within n-1 passes; the rest are skipped
+        assert iterate_stack_sort((2, 3, 4, 1), 10**12) == (1, 2, 3, 4)
+
 
 class TestSortability:
     def test_231_needs_two_passes(self):

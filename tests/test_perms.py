@@ -62,6 +62,8 @@ class TestParse:
 class TestBasics:
     def test_is_identity(self):
         assert is_identity((1, 2, 3))
+        assert is_identity([1, 2, 3])
+        assert not is_identity([2, 1])
         assert not is_identity((2, 1))
         assert is_identity(())
 
@@ -107,6 +109,11 @@ class TestPatterns:
         for n in range(6):
             for p in all_permutations(n):
                 for q in patterns:
+                    assert contains_pattern(p, q) == oracle_contains(p, q), (p, q)
+        # the patterns 2341 and 23451 that check_sortability_structure uses
+        for n in range(8):
+            for p in all_permutations(n):
+                for q in ((2, 3, 4, 1), (2, 3, 4, 5, 1)):
                     assert contains_pattern(p, q) == oracle_contains(p, q), (p, q)
 
     @given(perms(max_n=8), perms(max_n=4))

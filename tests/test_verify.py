@@ -53,15 +53,22 @@ _SABOTAGE = [
     ("series_machine_equivalence", "iterate_stack_sort", lambda p, t: p),
     ("placement_membership", "enumerate_a_placements", lambda v, n: iter(())),
     ("growth_function", "critical_point", lambda: 0.25),
+    # the preimage engine: a fertility no image can have, then no images at all
+    ("bound_inequalities", "image_fertilities", lambda n: iter([(tuple(range(1, n + 1)), 10**9)])),
+    ("bound_inequalities", "image_fertilities", lambda n: iter(())),
 ]
 
 
 def _case_ids(cases):
-    # the family, plus the patched name from a family's second case on
-    seen = set()
+    # the family, plus the patched name from a family's second case on,
+    # plus a number from that name's second case on
+    families, ids = set(), []
     for family, name, _ in cases:
-        yield f"{family}-{name}" if family in seen else family
-        seen.add(family)
+        case_id = f"{family}-{name}" if family in families else family
+        families.add(family)
+        repeats = ids.count(case_id)
+        ids.append(case_id)
+        yield f"{case_id}-{repeats + 1}" if repeats else case_id
 
 
 @pytest.mark.parametrize("family, name, wrong", _SABOTAGE, ids=list(_case_ids(_SABOTAGE)))
@@ -70,3 +77,15 @@ def test_each_delegated_check_can_fail(monkeypatch, family, name, wrong):
     result = getattr(verify, f"check_{family}")(**verify.BOUNDS["quick"][family])
     assert result.passed is False
     assert result.witnesses
+
+
+@pytest.mark.parametrize(
+    "case, caught_by",
+    [(_SABOTAGE[-2], "per-image cap"), (_SABOTAGE[-1], "brute force")],
+    ids=["huge_fertility", "no_images"],
+)
+def test_engine_faults_name_the_check_that_caught_them(monkeypatch, case, caught_by):
+    family, name, wrong = case
+    monkeypatch.setattr(verify, name, wrong)
+    result = getattr(verify, f"check_{family}")(**verify.BOUNDS["quick"][family])
+    assert any(caught_by in witness for witness in result.witnesses), result.witnesses
