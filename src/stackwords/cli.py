@@ -39,6 +39,10 @@ HARD_ENUMERATION_CAP = 12
 # Python's default int-to-str limit: no printed integer may be longer
 MAX_PRINTED_DIGITS = 4300
 CONVERGENCE_SAMPLES = (10, 50, 200, 1000, 2000)
+# Longest permutation that sort and word encode take. The worst case is
+# word encode --trace with 24 stacks: (t+1)n snapshots of up to n entries
+# each, about 0.8 s and 70 MiB at n = 200 on a decreasing permutation.
+MAX_PERMUTATION_LENGTH = 200
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str], table: str | None = None) -> None:
@@ -74,8 +78,15 @@ def _check_digit_cap(n: int, t: int) -> None:
         )
 
 
+def _capped_permutation(text: str) -> tuple[int, ...]:
+    p = parse_permutation(text)
+    if len(p) > MAX_PERMUTATION_LENGTH:
+        raise ValueError(f"permutation of length {len(p)} is longer than the cap of {MAX_PERMUTATION_LENGTH}")
+    return p
+
+
 def _cmd_sort(args: argparse.Namespace) -> int:
-    p = parse_permutation(args.permutation)
+    p = _capped_permutation(args.permutation)
     result = iterate_stack_sort(p, args.passes)
     payload = {
         "input": format_permutation(p),
@@ -94,7 +105,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 
 def _cmd_word_encode(args: argparse.Namespace) -> int:
-    p = parse_permutation(args.value)
+    p = _capped_permutation(args.value)
     run = run_series_machine(p, args.stacks, record_steps=args.trace)
     word = run.word
     payload: dict = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from typing import Iterator, Sequence
 
 from .machine import is_t_stack_sortable, stack_sort
@@ -149,8 +150,18 @@ def brute_force_count(n: int, t: int, limit: int = DEFAULT_ENUMERATION_LIMIT) ->
     """
     Count t-stack sortable permutations of length n by enumerating all n!
     of them. The independent oracle for every formula above.
+
+    Each permutation is sorted once; p is t-stack sortable iff its image
+    is (t-1)-stack sortable, so only the at most (n-1)! distinct images
+    are tested further, each weighted by how many p share it.
     """
-    return sum(1 for p in all_permutations(n, limit) if is_t_stack_sortable(p, t))
+    perms = all_permutations(n, limit)
+    if t < 1:
+        raise ValueError(f"pass count must be positive, got {t}")
+    images = Counter(map(stack_sort, perms))
+    if t == 1:
+        return images[tuple(range(1, n + 1))]
+    return sum(count for q, count in images.items() if is_t_stack_sortable(q, t - 1))
 
 
 def brute_force_image_descent_counts(
@@ -162,12 +173,11 @@ def brute_force_image_descent_counts(
     nonzero tally; the tallies sum to brute_force_count(n, 3).
     """
     counts: dict[int, int] = {}
-    for p in all_permutations(n, limit):
-        q = stack_sort(p)
+    for q, count in Counter(map(stack_sort, all_permutations(n, limit))).items():
         # p is 3-stack sortable iff its image is 2-stack sortable
         if is_t_stack_sortable(q, 2):
             d = descent_count(q)
-            counts[d] = counts.get(d, 0) + 1
+            counts[d] = counts.get(d, 0) + count
     return counts
 
 

@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perms import Perm, check_permutation, is_identity
-from .words import MAX_STACKS, StackWord, decode, default_alphabet
+from .perms import Perm, check_permutation
+from .words import MAX_STACKS, MOVE_LETTERS, StackWord, decode, default_alphabet
 
 
 def stack_sort(p: Sequence[int]) -> Perm:
@@ -42,8 +42,9 @@ def iterate_stack_sort(p: Sequence[int], times: int) -> Perm:
     if times < 0:
         raise ValueError(f"negative pass count {times}")
     cur = tuple(p)
+    identity = tuple(range(1, len(cur) + 1))
     for _ in range(times):
-        if is_identity(cur):
+        if cur == identity:
             break
         cur = stack_sort(cur)
     return cur
@@ -60,11 +61,12 @@ def is_t_stack_sortable(p: Sequence[int], t: int) -> bool:
     if t < 1:
         raise ValueError(f"pass count must be positive, got {t}")
     cur = tuple(p)
+    identity = tuple(range(1, len(cur) + 1))
     for _ in range(t):
-        if is_identity(cur):
+        if cur == identity:
             return True
         cur = stack_sort(cur)
-    return is_identity(cur)
+    return cur == identity
 
 
 def min_sorting_passes(p: Sequence[int]) -> int:
@@ -76,16 +78,21 @@ def min_sorting_passes(p: Sequence[int]) -> int:
     3
     """
     cur = tuple(p)
+    identity = tuple(range(1, len(cur) + 1))
     passes = 0
-    while not is_identity(cur):
+    while cur != identity:
         cur = stack_sort(cur)
         passes += 1
     return passes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MachineStep:
-    """One move of the series machine; stacks are snapshotted top-first."""
+    """
+    One move of the series machine; stacks are snapshotted top-first.
+    Consecutive steps share the snapshot tuples of the piles a move does
+    not touch, which is safe because tuples never change.
+    """
 
     step: int
     letter: str
@@ -108,6 +115,10 @@ class SeriesRun:
     word: StackWord
     output: Perm
     steps: tuple[MachineStep, ...] | None = None
+
+
+# move code i is written as the i-th move letter, whatever the stack count
+_LETTER_OF_CODE = bytes.maketrans(bytes(range(len(MOVE_LETTERS))), MOVE_LETTERS.encode("ascii"))
 
 
 def run_series_machine(p: Sequence[int], stacks: int, record_steps: bool = False) -> SeriesRun:
@@ -136,53 +147,68 @@ def run_series_machine(p: Sequence[int], stacks: int, record_steps: bool = False
     n = len(p)
     alphabet = default_alphabet(t)
     piles: list[list[int]] = [[] for _ in range(t)]
+    first, last = piles[0], piles[t - 1]
+    # (code, source, target) of each move from one stack to the next
+    transfers = list(zip(range(1, t), piles, piles[1:]))
     out: list[int] = []
-    letters: list[str] = []
-    steps: list[MachineStep] | None = [] if record_steps else None
-    pos = 0
+    codes = bytearray()  # the letters as positions in the alphabet
+    record = codes.append
 
-    while len(out) < n:
-        if pos < n and (not piles[0] or p[pos] < piles[0][-1]):
-            moved = p[pos]
-            pos += 1
-            piles[0].append(moved)
-            letter = 0
-            landed = piles[0]
-        else:
-            for i in range(t - 1):
-                if piles[i] and (not piles[i + 1] or piles[i][-1] < piles[i + 1][-1]):
-                    moved = piles[i].pop()
-                    piles[i + 1].append(moved)
-                    letter = i + 1
-                    landed = piles[i + 1]
+    # Before each input entry x is pushed, make the other moves until it
+    # fits on the first stack; after the last entry, until the output is
+    # complete. n + 1 stands for the end of the input: it fits nowhere.
+    for x in p + (n + 1,):
+        while first and first[-1] < x or x > n and len(out) < n:
+            for code, source, target in transfers:
+                if source and (not target or source[-1] < target[-1]):
+                    moved = source.pop()
+                    if target and moved >= target[-1]:
+                        raise RuntimeError(
+                            f"internal error: stack order violated placing {moved} on {target[-1]}"
+                        )
+                    target.append(moved)
+                    record(code)
                     break
             else:
-                if not piles[t - 1]:
+                if not last:
                     raise RuntimeError("internal error: no move available but output incomplete")
-                moved = piles[t - 1].pop()
-                out.append(moved)
-                letter = t
-                landed = None
-        if landed is not None and len(landed) >= 2 and landed[-1] >= landed[-2]:
-            raise RuntimeError(
-                f"internal error: stack order violated placing {moved} on {landed[-2]}"
-            )
-        letters.append(alphabet[letter])
-        if steps is not None:
-            steps.append(
-                MachineStep(
-                    step=len(letters),
-                    letter=alphabet[letter],
-                    value=moved,
-                    stacks=tuple(tuple(reversed(pile)) for pile in piles),
-                    output=tuple(out),
-                )
-            )
+                out.append(last.pop())
+                record(t)
+        if x <= n:
+            if first and x >= first[-1]:
+                raise RuntimeError(f"internal error: stack order violated placing {x} on {first[-1]}")
+            first.append(x)
+            record(0)
 
-    if len(letters) != (t + 1) * n:
-        raise RuntimeError(f"internal error: trace length {len(letters)} != {(t + 1) * n}")
-    word = StackWord("".join(letters), alphabet)
-    return SeriesRun(word=word, output=tuple(out), steps=tuple(steps) if steps is not None else None)
+    if len(codes) != (t + 1) * n:
+        raise RuntimeError(f"internal error: trace length {len(codes)} != {(t + 1) * n}")
+    word = StackWord(codes.translate(_LETTER_OF_CODE).decode("ascii"), alphabet)
+    steps = _replay_steps(p, codes, alphabet) if record_steps else None
+    return SeriesRun(word=word, output=tuple(out), steps=steps)
+
+
+def _replay_steps(p: Perm, codes: bytes, alphabet: str) -> tuple[MachineStep, ...]:
+    # Replay the trace on top-first snapshot tuples. A move rebuilds only
+    # the one or two snapshots it touches (and the output when it emits);
+    # every other step shares the tuples of the step before.
+    t = len(alphabet) - 1
+    shown: list[tuple[int, ...]] = [()] * t
+    out: tuple[int, ...] = ()
+    pos = 0
+    steps = []
+    for step, code in enumerate(codes, start=1):
+        if code:
+            moved = shown[code - 1][0]
+            shown[code - 1] = shown[code - 1][1:]
+        else:
+            moved = p[pos]
+            pos += 1
+        if code < t:
+            shown[code] = (moved,) + shown[code]
+        else:
+            out += (moved,)
+        steps.append(MachineStep(step, alphabet[code], moved, tuple(shown), out))
+    return tuple(steps)
 
 
 def encode(p: Sequence[int], stacks: int) -> StackWord:

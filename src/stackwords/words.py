@@ -16,6 +16,7 @@ is exactly what makes such words useful as an over-counting device.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -120,14 +121,20 @@ def count_factor(word: StackWord | str, factor: str) -> int:
 # one in the second or third stack; DA, DB and CA would mean the greedy
 # rule skipped a move that was already available.
 _FORBIDDEN_RULES = (
-    ("BB", re.compile(r"(?=BB)")),
-    ("CC", re.compile(r"(?=CC)")),
-    ("BAB", re.compile(r"(?=BAB)")),
-    ("CBA^jC", re.compile(r"(?=CBA*C)")),
-    ("DA", re.compile(r"(?=DA)")),
-    ("DB", re.compile(r"(?=DB)")),
-    ("CA", re.compile(r"(?=CA)")),
+    ("BB", "BB"),
+    ("CC", "CC"),
+    ("BAB", "BAB"),
+    ("CBA^jC", "CBA*C"),
+    ("DA", "DA"),
+    ("DB", "DB"),
+    ("CA", "CA"),
 )
+# One scan for all seven. No two rules share their first two letters, so
+# at most one rule matches at a position and those two letters name it.
+# (Capturing groups would name it too, but make each scan about three
+# times slower.)
+_FORBIDDEN_SCAN = re.compile("|".join(pattern for _, pattern in _FORBIDDEN_RULES))
+_RULE_OF_PREFIX = {pattern[:2]: rule for rule, pattern in _FORBIDDEN_RULES}
 
 
 def forbidden_factor_violations(word: StackWord) -> list[tuple[str, int]]:
@@ -139,15 +146,28 @@ def forbidden_factor_violations(word: StackWord) -> list[tuple[str, int]]:
 
     >>> forbidden_factor_violations(validate_word("AABCBDCD", 3))
     []
+    >>> forbidden_factor_violations(StackWord("ABBCAD", "ABCD"))
+    [('BB', 1), ('CA', 3)]
     """
     if word.alphabet != "ABCD":
         raise ValueError(f"forbidden-factor rules apply to 3-stack words over ABCD, not {word.alphabet!r}")
+    letters = word.letters
     hits = []
-    for rule, pattern in _FORBIDDEN_RULES:
-        for m in pattern.finditer(word.letters):
-            hits.append((rule, m.start()))
-    hits.sort(key=lambda h: (h[1], h[0]))
+    # each search resumes one letter after the last hit, so overlapping
+    # hits are all found, in order of position
+    m = _FORBIDDEN_SCAN.search(letters)
+    while m:
+        at = m.start()
+        hits.append((_RULE_OF_PREFIX[letters[at : at + 2]], at))
+        m = _FORBIDDEN_SCAN.search(letters, at + 1)
     return hits
+
+
+@functools.lru_cache(maxsize=64)
+def _letter_codes(alphabet: str) -> tuple[dict[int, str], frozenset[str]]:
+    # a str.translate table taking each letter to the character whose
+    # code is the letter's position, and the set of letters
+    return {ord(ch): chr(i) for i, ch in enumerate(alphabet)}, frozenset(alphabet)
 
 
 def decode(word: StackWord) -> tuple[int, ...]:
@@ -170,26 +190,31 @@ def decode(word: StackWord) -> tuple[int, ...]:
     t = word.stacks
     if t < 1:
         raise ValueError(f"cannot replay a word over the {len(word.alphabet)}-letter alphabet {word.alphabet!r}")
+    table, known = _letter_codes(word.alphabet)
+    if len(word.alphabet) <= 256 and known.issuperset(word.letters):
+        codes: bytes | tuple[int, ...] = word.letters.translate(table).encode("latin-1")
+    else:
+        codes = word.indices()  # names the first unknown letter
     stacks: list[list[int]] = [[] for _ in range(t)]
-    value_of: dict[int, int] = {}
+    first, last = stacks[0], stacks[t - 1]
+    value_of = [0] * codes.count(0)  # by token, in input order
     next_token = 0
     emitted = 0
-    for at, i in enumerate(word.indices(), start=1):
-        if i == 0:
-            stacks[0].append(next_token)
-            next_token += 1
-        else:
-            if not stacks[i - 1]:
-                raise ValueError(f"letter {word.letters[at - 1]!r} at position {at} pops an empty stack")
-            token = stacks[i - 1].pop()
-            if i < t:
-                stacks[i].append(token)
-            else:
+    try:
+        for at, i in enumerate(codes, start=1):
+            if i == 0:
+                first.append(next_token)
+                next_token += 1
+            elif i == t:
                 emitted += 1
-                value_of[token] = emitted
+                value_of[last.pop()] = emitted
+            else:
+                stacks[i].append(stacks[i - 1].pop())
+    except IndexError:
+        raise ValueError(f"letter {word.letters[at - 1]!r} at position {at} pops an empty stack") from None
     if any(stacks) or next_token != emitted:
         raise ValueError("word leaves entries stranded in the stacks")
-    return tuple(value_of[tok] for tok in range(next_token))
+    return tuple(value_of)
 
 
 def image_word(word: StackWord) -> StackWord:

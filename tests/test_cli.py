@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackwords.cli import main
+from stackwords.cli import MAX_PERMUTATION_LENGTH, main
 
 
 def run(capsys, *argv):
@@ -86,6 +86,35 @@ class TestWord:
         code, _, err = run(capsys, "word", "decode", "ABBA", "-t", "1")
         assert code == 2
         assert "position 3" in err
+
+
+class TestLengthCap:
+    # the slowest inputs: sort needs n-1 passes on 2..n,1, and a decreasing
+    # permutation makes the largest trace snapshots
+    @staticmethod
+    def rotated(n):
+        return ",".join(map(str, [*range(2, n + 1), 1]))
+
+    @staticmethod
+    def decreasing(n):
+        return ",".join(map(str, range(n, 0, -1)))
+
+    def test_longest_permutation_is_accepted(self, capsys):
+        n = MAX_PERMUTATION_LENGTH
+        code, out, _ = run(capsys, "--format", "json", "sort", self.rotated(n), "-t", "1")
+        assert code == 0
+        assert json.loads(out)["min_passes"] == n - 1
+        code, out, _ = run(capsys, "--format", "json", "word", "encode", self.decreasing(n), "-t", "3", "--trace")
+        assert code == 0
+        assert len(json.loads(out)["steps"]) == 4 * n
+
+    @pytest.mark.parametrize("command", [("sort",), ("word", "encode"), ("word", "encode", "--trace")])
+    def test_one_entry_more_exits_2(self, capsys, command):
+        n = MAX_PERMUTATION_LENGTH + 1
+        code, out, err = run(capsys, *command[:2], self.decreasing(n), *command[2:])
+        assert code == 2
+        assert out == ""
+        assert f"permutation of length {n} is longer than the cap of {MAX_PERMUTATION_LENGTH}" in err
 
 
 class TestCount:

@@ -19,8 +19,8 @@ from stackwords.counting import (
     two_stack_count,
     two_stack_count_by_descents,
 )
-from stackwords.machine import stack_sort
-from stackwords.perms import all_permutations
+from stackwords.machine import is_t_stack_sortable, stack_sort
+from stackwords.perms import all_permutations, descent_count
 
 # brute-force values, frozen from exhaustive enumeration
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -183,6 +183,31 @@ class TestBruteForce:
         for n in range(1, 7):
             tallies = brute_force_image_descent_counts(n)
             assert sum(tallies.values()) == brute_force_count(n, 3)
+
+    # The counters sort each p once and test only the distinct images;
+    # these oracles test every p, as the counters' definitions read.
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_count_matches_the_per_permutation_definition(self, n):
+        for t in range(1, 5):
+            expected = sum(is_t_stack_sortable(p, t) for p in all_permutations(n))
+            assert brute_force_count(n, t) == expected, (n, t)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_image_tallies_match_the_per_permutation_loop(self, n):
+        expected: dict[int, int] = {}
+        for p in all_permutations(n):
+            q = stack_sort(p)
+            if is_t_stack_sortable(q, 2):
+                d = descent_count(q)
+                expected[d] = expected.get(d, 0) + 1
+        tallies = brute_force_image_descent_counts(n)
+        assert tallies == expected
+        assert list(tallies) == list(expected)  # keys in order of first appearance
+
+    def test_pass_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="pass count must be positive"):
+            brute_force_count(3, 0)
 
 
 class TestPreimageEngine:

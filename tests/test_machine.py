@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from stackwords import verify
 from stackwords.machine import (
+    MachineStep,
     encode,
     is_genuine_word,
     is_t_stack_sortable,
@@ -152,6 +156,47 @@ class TestSeriesMachine:
         two_in = run.steps[1].as_record()
         assert two_in == {"step": 2, "letter": "A", "value": 1, "stacks": [[1, 2]], "output": []}
         assert run.steps[-1].output == (1, 2)
+
+
+def replayed_steps(p, letters, alphabet):
+    """(letter, value, stacks top-first, output) after each move, from mutable piles."""
+    t = len(alphabet) - 1
+    piles = [[] for _ in range(t)]
+    out = []
+    pending = list(p)
+    for letter in letters:
+        code = alphabet.index(letter)
+        moved = pending.pop(0) if code == 0 else piles[code - 1].pop()
+        (piles[code] if code < t else out).append(moved)
+        yield letter, moved, [pile[::-1] for pile in piles], list(out)
+
+
+class TestStepRecords:
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_steps_match_an_independent_replay(self, t):
+        for n in range(7):
+            for p in itertools.permutations(range(1, n + 1)):
+                run = run_series_machine(p, t, record_steps=True)
+                assert isinstance(run.steps, tuple)
+                assert len(run.steps) == len(run.word.letters) == (t + 1) * n
+                replay = replayed_steps(p, run.word.letters, run.word.alphabet)
+                for number, (step, (letter, value, stacks, output)) in enumerate(zip(run.steps, replay), start=1):
+                    assert type(step) is MachineStep
+                    assert (step.step, step.letter, step.value) == (number, letter, value)
+                    assert [list(s) for s in step.stacks] == stacks
+                    assert list(step.output) == output
+                    # snapshots are shared between steps, so they must not change
+                    assert type(step.stacks) is tuple and type(step.output) is tuple
+                    assert all(type(s) is tuple for s in step.stacks)
+
+    def test_slotted_step_supports_replace_and_as_record(self):
+        step = run_series_machine((2, 1), 1, record_steps=True).steps[1]
+        assert not hasattr(step, "__dict__")
+        changed = dataclasses.replace(step, value=7, output=(7,))
+        assert changed.as_record() == {"step": 2, "letter": "A", "value": 7, "stacks": [[1, 2]], "output": [7]}
+        assert step.value == 1  # the original is untouched
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            step.value = 3
 
 
 class TestEncode:

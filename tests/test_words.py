@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +23,28 @@ from stackwords.words import (
 def perms(draw, max_n=7):
     n = draw(st.integers(0, max_n))
     return tuple(draw(st.permutations(range(1, n + 1))))
+
+
+# one instance of each forbidden factor, CB A^j C with j = 0, 1, 2
+FORBIDDEN_INSTANCES = ("BB", "CC", "BAB", "CBC", "CBAC", "CBAAC", "DA", "DB", "CA")
+
+
+@st.composite
+def words_with_violations(draw):
+    """ABCD text with at least one forbidden factor spliced in."""
+    text = st.text(alphabet="ABCD", max_size=12)
+    pieces = draw(st.lists(st.tuples(text, st.sampled_from(FORBIDDEN_INSTANCES)), min_size=1, max_size=4))
+    return "".join(filler + factor for filler, factor in pieces) + draw(text)
+
+
+def seven_rule_scan(letters):
+    """The forbidden-factor scan as seven lookahead scans and a sort."""
+    rules = (
+        ("BB", "BB"), ("CC", "CC"), ("BAB", "BAB"), ("CBA^jC", "CBA*C"),
+        ("DA", "DA"), ("DB", "DB"), ("CA", "CA"),
+    )
+    hits = [(rule, m.start()) for rule, pattern in rules for m in re.finditer(f"(?={pattern})", letters)]
+    return sorted(hits, key=lambda h: (h[1], h[0]))
 
 
 class TestValidate:
@@ -102,6 +126,20 @@ class TestFactors:
         assert ("CA", 3) not in hits  # letters[3] is C followed by B
         assert ("DA", 5) in hits
 
+    @given(words_with_violations())
+    def test_single_scan_matches_seven_rule_scan(self, letters):
+        hits = forbidden_factor_violations(StackWord(letters, "ABCD"))
+        assert hits == seven_rule_scan(letters)
+        assert hits  # every drawn word breaks a rule
+
+    @given(st.text(alphabet="ABCD", max_size=40))
+    def test_single_scan_matches_seven_rule_scan_on_any_word(self, letters):
+        assert forbidden_factor_violations(StackWord(letters, "ABCD")) == seven_rule_scan(letters)
+
+    def test_overlapping_hits_are_all_found(self):
+        assert forbidden_factor_violations(StackWord("BBBAB", "ABCD")) == [("BB", 0), ("BB", 1), ("BAB", 2)]
+        assert forbidden_factor_violations(StackWord("CCBAC", "ABCD")) == [("CC", 0), ("CBA^jC", 1)]
+
     def test_requires_standard_three_stack_alphabet(self):
         with pytest.raises(ValueError):
             forbidden_factor_violations(validate_word("AABB", 1))
@@ -125,6 +163,25 @@ class TestDecode:
     def test_letter_outside_alphabet(self):
         with pytest.raises(ValueError, match="unknown letter 'X' at position 2"):
             decode(StackWord("AXB", "AB"))
+
+    @pytest.mark.parametrize(
+        "letters, alphabet, message",
+        [
+            # control characters whose codes are valid letter positions
+            ("A\x01B", "AB", "unknown letter '\\x01' at position 2"),
+            ("\x00AB", "AB", "unknown letter '\\x00' at position 1"),
+            ("AABCBDC\x03", "ABCD", "unknown letter '\\x03' at position 8"),
+            ("ABCDé", "ABCD", "unknown letter 'é' at position 5"),
+            ("AB\u0101", "AB", "unknown letter 'ā' at position 3"),
+        ],
+    )
+    def test_letter_outside_alphabet_is_never_mapped(self, letters, alphabet, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decode(StackWord(letters, alphabet))
+
+    def test_unknown_letter_is_named_before_an_empty_pop(self):
+        with pytest.raises(ValueError, match="unknown letter 'X' at position 5"):
+            decode(StackWord("BACDX", "ABCD"))
 
     def test_pop_from_empty_stack(self):
         with pytest.raises(ValueError, match="pops an empty stack"):
