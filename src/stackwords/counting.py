@@ -9,15 +9,12 @@ bug, and fails loudly.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from typing import Iterator, Sequence
 
 from .machine import is_t_stack_sortable, stack_sort
 from .perms import DEFAULT_ENUMERATION_LIMIT, Perm, all_permutations, descent_count
-
-_factorial = functools.lru_cache(maxsize=None)(math.factorial)
 
 
 def binomial(a: int, b: int) -> int:
@@ -68,8 +65,10 @@ def two_stack_count_by_descents(n: int, d: int) -> int:
     d descents. With k = d + 1:
 
         (n+k-1)! (2n-k)! / ( k! (n+1-k)! (2k-1)! (2n-2k+1)! )
+          = C(n+k-1, 2k-1) C(2n-k, k-1) / ( k (n+1-k) )
 
-    Zero outside 1 <= k <= n.
+    The second form takes two binomials and one small exact division in
+    place of six big factorials. Zero outside 1 <= k <= n.
 
     >>> [two_stack_count_by_descents(4, d) for d in range(4)]
     [1, 10, 10, 1]
@@ -79,14 +78,11 @@ def two_stack_count_by_descents(n: int, d: int) -> int:
     k = d + 1
     if not 1 <= k <= n:
         return 0
-    numerator = _factorial(n + k - 1) * _factorial(2 * n - k)
-    denominator = (
-        _factorial(k)
-        * _factorial(n + 1 - k)
-        * _factorial(2 * k - 1)
-        * _factorial(2 * n - 2 * k + 1)
+    return _exact_div(
+        math.comb(n + k - 1, 2 * k - 1) * math.comb(2 * n - k, k - 1),
+        k * (n + 1 - k),
+        "two_stack_count_by_descents",
     )
-    return _exact_div(numerator, denominator, "two_stack_count_by_descents")
 
 
 def bound_summand(n: int, k: int) -> int:
@@ -118,7 +114,7 @@ def three_stack_bound(n: int) -> int:
 
     (the term-ratio technique of Petkovsek, Wilf and Zeilberger, A = B,
     1996): one small multiply and one exact division per term, instead
-    of six big factorials. bound_summand is the closed-form oracle.
+    of three big binomials. bound_summand is the closed-form oracle.
 
     >>> [three_stack_bound(n) for n in range(1, 5)]
     [1, 2, 10, 60]
@@ -146,34 +142,53 @@ def trivial_bound(n: int, t: int) -> int:
     return (t + 1) ** (2 * n)
 
 
-def brute_force_count(n: int, t: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+def image_tally(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Counter[Perm]:
+    """
+    How many of the n! permutations of length n stack_sort sends to each
+    image: the one sweep behind both brute-force counters below, which
+    take it as ``images`` when several counts share one n.
+
+    >>> image_tally(2) == {(1, 2): 2}
+    True
+    """
+    return Counter(map(stack_sort, all_permutations(n, limit)))
+
+
+def brute_force_count(
+    n: int, t: int, limit: int = DEFAULT_ENUMERATION_LIMIT, *, images: Counter[Perm] | None = None
+) -> int:
     """
     Count t-stack sortable permutations of length n by enumerating all n!
     of them. The independent oracle for every formula above.
 
     Each permutation is sorted once; p is t-stack sortable iff its image
     is (t-1)-stack sortable, so only the at most (n-1)! distinct images
-    are tested further, each weighted by how many p share it.
+    are tested further, each weighted by how many p share it. Pass
+    ``images=image_tally(n)`` to reuse a sweep already made.
     """
-    perms = all_permutations(n, limit)
+    all_permutations(n, limit)  # rejects a bad n before a bad t
     if t < 1:
         raise ValueError(f"pass count must be positive, got {t}")
-    images = Counter(map(stack_sort, perms))
+    if images is None:
+        images = image_tally(n, limit)
     if t == 1:
         return images[tuple(range(1, n + 1))]
     return sum(count for q, count in images.items() if is_t_stack_sortable(q, t - 1))
 
 
 def brute_force_image_descent_counts(
-    n: int, limit: int = DEFAULT_ENUMERATION_LIMIT
+    n: int, limit: int = DEFAULT_ENUMERATION_LIMIT, *, images: Counter[Perm] | None = None
 ) -> dict[int, int]:
     """
     For 3-stack sortable p of length n, tally how many descents the
     once-sorted image stack_sort(p) has. Keys are descent counts with a
-    nonzero tally; the tallies sum to brute_force_count(n, 3).
+    nonzero tally; the tallies sum to brute_force_count(n, 3). Pass
+    ``images=image_tally(n)`` to reuse a sweep already made.
     """
+    if images is None:
+        images = image_tally(n, limit)
     counts: dict[int, int] = {}
-    for q, count in Counter(map(stack_sort, all_permutations(n, limit))).items():
+    for q, count in images.items():
         # p is 3-stack sortable iff its image is 2-stack sortable
         if is_t_stack_sortable(q, 2):
             d = descent_count(q)

@@ -10,6 +10,7 @@ usual one-line notation.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from typing import Iterator, Sequence
 
@@ -107,10 +108,29 @@ def descent_count(p: Sequence[int]) -> int:
     return sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1])
 
 
+@functools.lru_cache(maxsize=128)
+def _pattern_links(q: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # For each pattern position j, the earlier positions holding the
+    # nearest smaller and nearest larger pattern values, or k and k + 1
+    # (the slots of the two sentinels) if there is none.
+    k = len(q)
+    position = {v: j for j, v in enumerate(q)}
+    below, above = [], []
+    seen: list[int] = []  # the values of q[:j], sorted
+    for v in q:
+        at = bisect.bisect(seen, v)
+        below.append(position[seen[at - 1]] if at else k)
+        above.append(position[seen[at]] if at < len(seen) else k + 1)
+        seen.insert(at, v)
+    return tuple(below), tuple(above)
+
+
 def contains_pattern(p: Sequence[int], q: Sequence[int]) -> bool:
     """
     True iff some subsequence of p is order-isomorphic to q. Exhaustive
-    search with early pruning; meant for desk-scale inputs only.
+    search with early pruning, depth first in one loop that keeps a resume
+    position per pattern entry instead of recursing, so long patterns do
+    not reach the recursion limit; meant for desk-scale inputs only.
 
     >>> contains_pattern((2, 3, 4, 1), (2, 3, 1))
     True
@@ -123,36 +143,37 @@ def contains_pattern(p: Sequence[int], q: Sequence[int]) -> bool:
     n = len(p)
     if k > n:
         return False
-    # For each pattern position j, the earlier positions holding the
-    # nearest smaller and nearest larger pattern values (-1 if none): a
-    # candidate extends the chosen prefix iff it lies strictly between the
-    # entries chosen there.
-    position = {v: j for j, v in enumerate(q)}
-    below, above = [], []
-    seen: list[int] = []  # the values of q[:j], sorted
-    for v in q:
-        at = bisect.bisect(seen, v)
-        below.append(position[seen[at - 1]] if at else -1)
-        above.append(position[seen[at]] if at < len(seen) else -1)
-        seen.insert(at, v)
-    floor, ceiling = min(p) - 1, max(p) + 1
-    chosen = [0] * k
-
-    def extend(start: int, j: int) -> bool:
-        if j == k:
-            return True
-        low = chosen[below[j]] if below[j] >= 0 else floor
-        high = chosen[above[j]] if above[j] >= 0 else ceiling
-        # leave enough room for the remaining pattern entries
-        for i in range(start, n - k + j + 1):
+    # A candidate for pattern position j extends the chosen prefix iff it
+    # lies strictly between the entries chosen at the positions of its
+    # nearest smaller and larger pattern values; two sentinels stand in
+    # for a missing neighbour, so p's values need not be 1..n.
+    below, above = _pattern_links(tuple(q))
+    chosen = [0] * k + [min(p) - 1, max(p) + 1]
+    resume = [0] * k  # where the scan goes on after backtracking to j
+    # Pattern position j scans p[i] for i < stop = n - k + j + 1, which
+    # leaves room for the remaining pattern entries.
+    j = i = 0
+    stop = n - k + 1
+    low, high = chosen[below[0]], chosen[above[0]]
+    while True:
+        if i < stop:
             v = p[i]
+            i += 1
             if low < v < high:
                 chosen[j] = v
-                if extend(i + 1, j + 1):
+                resume[j] = i
+                j += 1
+                if j == k:
                     return True
-        return False
-
-    return extend(0, 0)
+                stop += 1
+                low, high = chosen[below[j]], chosen[above[j]]
+        else:
+            j -= 1
+            if j < 0:
+                return False
+            i = resume[j]
+            stop -= 1
+            low, high = chosen[below[j]], chosen[above[j]]
 
 
 def all_permutations(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[Perm]:

@@ -113,7 +113,12 @@ def count_factor(word: StackWord | str, factor: str) -> int:
     letters = word.letters if isinstance(word, StackWord) else word
     if not factor:
         raise ValueError("empty factor")
-    return sum(1 for i in range(len(letters) - len(factor) + 1) if letters.startswith(factor, i))
+    count = 0
+    at = letters.find(factor)
+    while at >= 0:
+        count += 1
+        at = letters.find(factor, at + 1)  # one letter on, to keep overlaps
+    return count
 
 
 # Factors that can never occur in the 3-stack trace of a permutation.

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from stackwords.counting import (
     catalan,
     image_descent_counts,
     image_fertilities,
+    image_tally,
     stack_sort_preimages,
     three_stack_bound,
     trivial_bound,
@@ -84,6 +88,27 @@ class TestByDescents:
         assert two_stack_count_by_descents(4, -1) == 0
         assert two_stack_count_by_descents(4, 4) == 0
 
+    @staticmethod
+    def factorial_form(n, k):
+        f = math.factorial
+        numerator = f(n + k - 1) * f(2 * n - k)
+        denominator = f(k) * f(n + 1 - k) * f(2 * k - 1) * f(2 * n - 2 * k + 1)
+        assert numerator % denominator == 0
+        return numerator // denominator
+
+    @pytest.mark.parametrize("rows", [range(1, 121), (200, 300)], ids=["n<=120", "n=200,300"])
+    def test_binomial_form_matches_factorial_form(self, rows):
+        for n in rows:
+            for k in range(1, n + 1):
+                assert two_stack_count_by_descents(n, k - 1) == self.factorial_form(n, k), (n, k)
+
+    def test_remainder_fails_loudly(self, monkeypatch):
+        # with every binomial 1, the division by k(n+1-k) = 6 at n=4, k=2
+        # leaves a remainder, which must raise and not round
+        monkeypatch.setattr(counting.math, "comb", lambda a, b: 1)
+        with pytest.raises(ArithmeticError, match="two_stack_count_by_descents: 1 is not divisible by 6"):
+            two_stack_count_by_descents(4, 1)
+
     def test_matches_brute_force(self):
         result = verify.check_descent_refinement_oracle(top=6)
         assert result.passed, result.witnesses
@@ -119,7 +144,7 @@ class TestThreeStackBound:
 
     @staticmethod
     def _summed(n):
-        # the factorial closed form, one summand at a time
+        # the binomial closed form, one summand at a time
         return sum(bound_summand(n, k) for k in range(1, (n + 1) // 2 + 1))
 
     def test_recurrence_matches_closed_form(self):
@@ -209,6 +234,17 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="pass count must be positive"):
             brute_force_count(3, 0)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_a_shared_image_tally_gives_the_same_counts(self, n):
+        images = image_tally(n)
+        assert sum(images.values()) == math.factorial(n)
+        assert images == Counter(stack_sort(p) for p in all_permutations(n))
+        for t in range(1, 5):
+            assert brute_force_count(n, t, images=images) == brute_force_count(n, t), (n, t)
+        shared = brute_force_image_descent_counts(n, images=images)
+        own = brute_force_image_descent_counts(n)
+        assert list(shared.items()) == list(own.items())
+
 
 class TestPreimageEngine:
     def test_tallies_match_brute_force(self):
@@ -243,9 +279,9 @@ class TestPreimageEngine:
         names = set(vars(counting))
         assert list(image_fertilities(7)) == list(image_fertilities(7))
         assert set(vars(counting)) == names
-        # the factorial cache predates the engine and is the only one
+        # and the module keeps no cache of its own
         caches = [name for name, value in vars(counting).items() if hasattr(value, "cache_info")]
-        assert caches == ["_factorial"]
+        assert caches == []
 
 
 class TestExactDivision:

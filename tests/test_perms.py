@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stackwords.perms as perms_module
 from stackwords.counting import catalan
 from stackwords.perms import (
     all_permutations,
@@ -119,6 +120,23 @@ class TestPatterns:
     @given(perms(max_n=8), perms(max_n=4))
     def test_against_oracle_random(self, p, q):
         assert contains_pattern(p, q) == oracle_contains(p, q)
+
+    def test_long_pattern_does_not_recurse(self):
+        # one resume position per pattern entry, not one call: a pattern
+        # longer than the recursion limit still gets an answer
+        assert contains_pattern(tuple(range(1, 1201)), tuple(range(1, 1101)))
+
+    def test_long_pattern_absent(self):
+        assert not contains_pattern(tuple(range(1, 1201)), tuple(range(1100, 0, -1)))
+
+    def test_links_are_cached_per_pattern(self):
+        perms_module._pattern_links.cache_clear()
+        for p in all_permutations(5):
+            contains_pattern(p, (2, 3, 1))
+            contains_pattern(list(p), [2, 3, 1])
+        info = perms_module._pattern_links.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * 120 - 1)
+        assert info.maxsize is not None  # bounded: contains_pattern(p, p) meets many patterns
 
     def test_avoiders_are_catalan_many(self):
         for n in range(8 + 1):

@@ -1,6 +1,10 @@
+import math
+
 import pytest
 
+import stackwords.counting as counting
 import stackwords.verify as verify
+from stackwords.machine import stack_sort
 from stackwords.words import StackWord
 
 
@@ -89,3 +93,18 @@ def test_engine_faults_name_the_check_that_caught_them(monkeypatch, case, caught
     monkeypatch.setattr(verify, name, wrong)
     result = getattr(verify, f"check_{family}")(**verify.BOUNDS["quick"][family])
     assert any(caught_by in witness for witness in result.witnesses), result.witnesses
+
+
+def test_bound_inequalities_sorts_each_permutation_once(monkeypatch):
+    # the t = 1, 2 and 3 brute counts and the image-descent tallies share
+    # one n! sweep per n; the preimage engine sorts nothing
+    sorted_perms = []
+
+    def counted_sort(p):
+        sorted_perms.append(p)
+        return stack_sort(p)
+
+    monkeypatch.setattr(counting, "stack_sort", counted_sort)
+    result = verify.check_bound_inequalities(top3=6, top_trivial=6)
+    assert result.passed, result.witnesses
+    assert len(sorted_perms) == sum(math.factorial(n) for n in range(1, 7))

@@ -107,6 +107,26 @@ class TestFactors:
         with pytest.raises(ValueError):
             count_factor("AB", "")
 
+    @given(st.text("AB", max_size=12), st.text("AB", min_size=1, max_size=14))
+    def test_count_factor_matches_the_positional_definition(self, letters, factor):
+        # the definition the find loop replaced: every start position,
+        # overlaps included; a factor longer than the word occurs nowhere
+        expected = sum(1 for i in range(len(letters) - len(factor) + 1) if letters.startswith(factor, i))
+        assert count_factor(letters, factor) == expected
+        assert count_factor(StackWord(letters, "AB"), factor) == expected
+
+    @pytest.mark.parametrize(
+        "letters, factor, expected",
+        [("AAAA", "AA", 3), ("ABABA", "ABA", 2), ("AB", "ABA", 0), ("", "A", 0)],
+    )
+    def test_count_factor_overlaps_and_long_factors(self, letters, factor, expected):
+        assert count_factor(letters, factor) == expected
+
+    @given(st.text("AB", max_size=6))
+    def test_empty_factor_rejected_on_any_word(self, letters):
+        with pytest.raises(ValueError, match="empty factor"):
+            count_factor(letters, "")
+
     def test_clean_trace_has_no_violations(self):
         assert forbidden_factor_violations(encode((2, 1), 3)) == []
 
