@@ -143,6 +143,12 @@ def contains_pattern(p: Sequence[int], q: Sequence[int]) -> bool:
     n = len(p)
     if k > n:
         return False
+    if k == n:
+        # p itself is the only candidate: it must rise along q's order of
+        # values. This skips the links, whose cache one-off full-length
+        # patterns would only churn.
+        order = sorted(range(k), key=q.__getitem__)
+        return all(p[a] < p[b] for a, b in zip(order, order[1:]))
     # A candidate for pattern position j extends the chosen prefix iff it
     # lies strictly between the entries chosen at the positions of its
     # nearest smaller and larger pattern values; two sentinels stand in

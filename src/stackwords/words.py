@@ -17,6 +17,7 @@ is exactly what makes such words useful as an over-counting device.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -238,13 +239,11 @@ def image_word(word: StackWord) -> StackWord:
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     # All nonnegative vectors of the given length summing to total, in
-    # lexicographic order (so the stream order is reproducible).
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    # lexicographic order (so the stream order is reproducible), by stars
+    # and bars: parts - 1 bars among total + parts - 1 slots, no recursion.
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
 def enumerate_a_placements(v: StackWord, entries: int) -> Iterator[StackWord]:

@@ -257,6 +257,31 @@ class TestVerify:
         assert "PASS catalan_oracle" in out
         assert "property families passed" in out
 
+    @pytest.mark.parametrize(
+        "name, exc, family",
+        [
+            ("decode", ValueError("decoder broke"), "codec_roundtrip"),
+            ("run_series_machine", RuntimeError("machine broke"), "series_machine_equivalence"),
+        ],
+        ids=["value_error", "runtime_error"],
+    )
+    def test_a_check_that_raises_fails_its_family(self, capsys, monkeypatch, name, exc, family):
+        # not a usage error and not a traceback: the family fails with the
+        # exception as its witness, and every other family still reports
+        import stackwords.verify as verify
+
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setattr(verify, name, broken)
+        code, out, err = run(capsys, "verify")
+        assert code == 1
+        assert err == ""
+        assert f"FAIL {family}: the check raised an exception" in out
+        assert f"witness: {type(exc).__name__}: {exc}" in out
+        assert out.count("PASS ") == len(verify.ALL_CHECKS) - 1
+        assert f"{len(verify.ALL_CHECKS) - 1}/{len(verify.ALL_CHECKS)} property families passed" in out
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import stackwords.perms as perms_module
+from stackwords import verify
 from stackwords.counting import catalan
 from stackwords.perms import (
     all_permutations,
@@ -136,7 +137,19 @@ class TestPatterns:
             contains_pattern(list(p), [2, 3, 1])
         info = perms_module._pattern_links.cache_info()
         assert (info.misses, info.hits) == (1, 2 * 120 - 1)
-        assert info.maxsize is not None  # bounded: contains_pattern(p, p) meets many patterns
+        assert info.maxsize is not None  # bounded: a caller may meet many patterns
+
+    def test_full_length_patterns_skip_the_links(self):
+        # check_permutation_statistics asks contains_pattern(p, p) for every
+        # p: each is a new pattern, so looking up its links would only churn
+        # the cache. The one miss is the pattern 231.
+        perms_module._pattern_links.cache_clear()
+        assert verify.check_permutation_statistics(top=6).passed
+        assert perms_module._pattern_links.cache_info().misses == 1
+
+    def test_full_length_pattern_on_other_values(self):
+        assert contains_pattern((10, 30, 20), (1, 3, 2))
+        assert not contains_pattern((10, 30, 20), (2, 1, 3))
 
     def test_avoiders_are_catalan_many(self):
         for n in range(8 + 1):

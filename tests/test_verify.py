@@ -30,6 +30,16 @@ def test_failures_carry_witnesses(monkeypatch):
     assert "999" in result.witnesses[0]
 
 
+def test_direct_calls_still_raise(monkeypatch):
+    # only run_verification turns an exception into a failed result
+    def broken(word):
+        raise ValueError("decoder broke")
+
+    monkeypatch.setattr(verify, "decode", broken)
+    with pytest.raises(ValueError, match="decoder broke"):
+        verify.check_codec_roundtrip(top=3)
+
+
 def test_witness_lists_are_truncated(monkeypatch):
     monkeypatch.setattr(verify, "catalan", lambda n: -1)
     result = verify.check_catalan_oracle(top=8)

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stackwords.words as words_module
 from stackwords import verify
-from stackwords.counting import binomial
+from stackwords.counting import binomial, image_fertilities
 from stackwords.machine import encode, is_genuine_word, is_t_stack_sortable, stack_sort
 from stackwords.words import (
     StackWord,
+    _compositions,
     count_factor,
     decode,
     default_alphabet,
@@ -23,6 +25,16 @@ from stackwords.words import (
 def perms(draw, max_n=7):
     n = draw(st.integers(0, max_n))
     return tuple(draw(st.permutations(range(1, n + 1))))
+
+
+def recursive_compositions(total, parts):
+    # the compositions as first written, one recursive call per part
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
 # one instance of each forbidden factor, CB A^j C with j = 0, 1, 2
@@ -271,6 +283,33 @@ class TestPlacements:
         genuine = [w for w in candidates if is_genuine_word(w)]
         assert len(candidates) == 6
         assert len(genuine) == 5
+
+    def test_compositions_match_the_recursive_definition(self):
+        for total in range(9):
+            for parts in range(1, 10):
+                assert list(_compositions(total, parts)) == list(recursive_compositions(total, parts)), (total, parts)
+
+    def test_streams_match_the_recursive_definition(self, monkeypatch):
+        # the projection of every 3-stack sortable p with n <= 8 (the 2-stack
+        # word of its image, over BCD) streams the same candidates, in the
+        # same order, as with recursive compositions
+        shift = str.maketrans("ABC", "BCD")
+        projections = [
+            (n, StackWord(encode(q, 2).letters.translate(shift), "BCD"))
+            for n in range(1, 9)
+            for q, _ in image_fertilities(n)
+        ]
+        streams = [[w.letters for w in enumerate_a_placements(v, n)] for n, v in projections]
+        monkeypatch.setattr(words_module, "_compositions", recursive_compositions)
+        assert streams == [[w.letters for w in enumerate_a_placements(v, n)] for n, v in projections]
+
+    def test_many_entries_do_not_recurse(self):
+        # the compositions come from stars and bars, not one call per entry
+        n = 1200
+        v = image_word(encode(tuple(range(1, n + 1)), 3))
+        first = next(enumerate_a_placements(v, n))
+        assert first.letters.count("A") == n
+        assert image_word(first) == v
 
     def test_rejects_unprojected_words(self):
         with pytest.raises(ValueError):
