@@ -110,7 +110,7 @@ class MachineStep:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesRun:
     word: StackWord
     output: Perm
@@ -188,23 +188,29 @@ def run_series_machine(p: Sequence[int], stacks: int, record_steps: bool = False
 
 
 def _replay_steps(p: Perm, codes: bytes, alphabet: str) -> tuple[MachineStep, ...]:
-    # Replay the trace on top-first snapshot tuples. A move rebuilds only
-    # the one or two snapshots it touches (and the output when it emits);
-    # every other step shares the tuples of the step before.
+    # Replay the trace on top-first snapshot tuples. Each pile keeps the
+    # snapshots it has held, bottom-up: a push adds one tuple, and a pop
+    # goes back to the tuple from before the matching push instead of
+    # slicing a new one. Every step shares the snapshots of the piles its
+    # move leaves alone (and the output, unless it emits).
     t = len(alphabet) - 1
+    held: list[list[tuple[int, ...]]] = [[()] for _ in range(t)]
     shown: list[tuple[int, ...]] = [()] * t
     out: tuple[int, ...] = ()
     pos = 0
     steps = []
     for step, code in enumerate(codes, start=1):
         if code:
-            moved = shown[code - 1][0]
-            shown[code - 1] = shown[code - 1][1:]
+            source = held[code - 1]
+            moved = source.pop()[0]
+            shown[code - 1] = source[-1]
         else:
             moved = p[pos]
             pos += 1
         if code < t:
-            shown[code] = (moved,) + shown[code]
+            target = held[code]
+            target.append((moved,) + target[-1])
+            shown[code] = target[-1]
         else:
             out += (moved,)
         steps.append(MachineStep(step, alphabet[code], moved, tuple(shown), out))
@@ -226,5 +232,8 @@ def is_genuine_word(word: StackWord) -> bool:
         q = decode(word)
     except ValueError:
         return False
-    return encode(q, word.stacks).indices() == word.indices()
+    again = encode(q, word.stacks)
+    if word.alphabet == again.alphabet:  # the standard letters: compare them as they are
+        return again.letters == word.letters
+    return again.indices() == word.indices()
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -105,7 +106,7 @@ def descent_count(p: Sequence[int]) -> int:
     >>> descent_count((1, 2, 3, 4))
     0
     """
-    return sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1])
+    return sum(map(operator.gt, p, itertools.islice(p, 1, None)))
 
 
 @functools.lru_cache(maxsize=128)

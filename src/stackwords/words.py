@@ -24,22 +24,26 @@ from typing import Iterator
 
 MAX_STACKS = 24
 MOVE_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXY"
+# the standard alphabet of each stack count t, built once, so every word
+# of t stacks shares one string (index 0 is unused: t >= 1)
+_ALPHABETS = tuple(MOVE_LETTERS[: t + 1] for t in range(MAX_STACKS + 1))
 
 
 def default_alphabet(stacks: int) -> str:
     """The t+1 standard letters for a t-stack word."""
     if not 1 <= stacks <= MAX_STACKS:
         raise ValueError(f"stack count {stacks} outside 1..{MAX_STACKS}")
-    return MOVE_LETTERS[: stacks + 1]
+    return _ALPHABETS[stacks]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StackWord:
     """
     A word over an ordered move alphabet. ``alphabet`` lists the t+1
     letters in move order; a projection may use a shifted alphabet such
     as ``"BCD"`` for a 2-stack word. The constructor does not validate:
-    use :func:`validate_word` for checked construction.
+    use :func:`validate_word` for checked construction. Words are held in
+    bulk, so they are slotted: no per-instance ``__dict__``.
     """
 
     letters: str

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stackwords import verify
+from stackwords.counting import image_fertilities
 from stackwords.machine import (
     MachineStep,
     encode,
@@ -17,7 +18,7 @@ from stackwords.machine import (
     stack_sort,
 )
 from stackwords.perms import is_identity
-from stackwords.words import StackWord, validate_word
+from stackwords.words import StackWord, decode, enumerate_a_placements, validate_word
 
 
 @st.composite
@@ -147,6 +148,14 @@ class TestSeriesMachine:
     def test_steps_not_recorded_by_default(self):
         assert run_series_machine((2, 1), 2).steps is None
 
+    def test_runs_have_no_instance_dict(self):
+        run = run_series_machine((2, 1), 2, record_steps=True)
+        assert not hasattr(run, "__dict__")
+        assert not hasattr(run.word, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.output = ()
+        assert run == run_series_machine((2, 1), 2, record_steps=True)
+
     def test_step_records(self):
         run = run_series_machine((2, 1), 1, record_steps=True)
         assert [s.letter for s in run.steps] == list(run.word.letters)
@@ -189,6 +198,21 @@ class TestStepRecords:
                     assert type(step.stacks) is tuple and type(step.output) is tuple
                     assert all(type(s) is tuple for s in step.stacks)
 
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_a_pop_reuses_the_snapshot_from_before_its_push(self, t):
+        for n in range(7):
+            for p in itertools.permutations(range(1, n + 1)):
+                steps = run_series_machine(p, t, record_steps=True).steps
+                pushed = [[] for _ in range(t)]  # per pile, the indices of the steps that pushed onto it
+                for i, step in enumerate(steps):
+                    code = ord(step.letter) - ord("A")
+                    if code:
+                        j = pushed[code - 1].pop()
+                        before = steps[j - 1].stacks[code - 1] if j else ()
+                        assert step.stacks[code - 1] is before, (p, t, i)
+                    if code < t:
+                        pushed[code].append(i)
+
     def test_slotted_step_supports_replace_and_as_record(self):
         step = run_series_machine((2, 1), 1, record_steps=True).steps[1]
         assert not hasattr(step, "__dict__")
@@ -222,3 +246,34 @@ class TestEncode:
 
     def test_ballot_violations_are_not_genuine(self):
         assert not is_genuine_word(StackWord("ABBA", "AB"))
+
+    def test_both_comparisons_agree_with_the_index_comparison(self, monkeypatch):
+        # every candidate A-placement of every projection with n <= 6, over
+        # ABCD (letters compared) and shifted to BCDE (indices compared)
+        def by_indices(word):
+            try:
+                q = decode(word)
+            except ValueError:
+                return False
+            return encode(q, word.stacks).indices() == word.indices()
+
+        # the projections are the 2-stack words of the images, over BCD
+        project, shift = str.maketrans("ABC", "BCD"), str.maketrans("ABCD", "BCDE")
+        candidates = [
+            w
+            for n in range(1, 7)
+            for q, _ in image_fertilities(n)
+            for w in enumerate_a_placements(StackWord(encode(q, 2).letters.translate(project), "BCD"), n)
+        ]
+        expected = [by_indices(w) for w in candidates]
+        assert 0 < sum(expected) < len(candidates)
+        shifted = [StackWord(w.letters.translate(shift), "BCDE") for w in candidates]
+        assert [by_indices(w) for w in shifted] == expected
+
+        calls = []
+        indices = StackWord.indices
+        monkeypatch.setattr(StackWord, "indices", lambda self: calls.append(self) or indices(self))
+        assert [is_genuine_word(w) for w in candidates] == expected
+        assert calls == []  # standard letters: no index tuples built
+        assert [is_genuine_word(w) for w in shifted] == expected
+        assert len(calls) >= sum(expected)

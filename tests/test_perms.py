@@ -76,6 +76,14 @@ class TestBasics:
     def test_descent_count(self, p, expected):
         assert descent_count(p) == expected
 
+    @given(st.lists(st.integers(-3, 3), max_size=12))
+    def test_descent_count_matches_the_positional_definition(self, values):
+        # ties are not descents; any sequence of comparable values will do
+        expected = sum(1 for i in range(len(values) - 1) if values[i] > values[i + 1])
+        assert descent_count(values) == expected
+        assert descent_count(tuple(values)) == expected
+        assert type(descent_count(values)) is int
+
     @given(perms())
     def test_descents_of_reverse(self, p):
         if p:

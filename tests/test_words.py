@@ -1,4 +1,6 @@
+import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -102,6 +104,42 @@ class TestValidate:
     def test_every_trace_validates(self, p, t):
         word = encode(p, t)
         assert validate_word(word.letters, t) == word
+
+
+class TestLeanWords:
+    def test_words_have_no_instance_dict(self):
+        word = encode((2, 1), 3)
+        assert not hasattr(word, "__dict__")
+        with pytest.raises(TypeError):
+            vars(word)
+        # value semantics are unchanged
+        assert word == StackWord("AABCBDCD", "ABCD")
+        assert hash(word) == hash(StackWord("AABCBDCD", "ABCD"))
+
+    def test_words_share_their_standard_alphabet(self):
+        for t in range(1, 25):
+            alphabet = default_alphabet(t)
+            assert alphabet is default_alphabet(t)
+            assert encode((2, 3, 1), t).alphabet is alphabet
+            assert validate_word("", t).alphabet is alphabet
+
+    def test_retained_size_per_word(self):
+        # 40,320 traces held at once, as a sweep over n = 8 holds them
+        inputs = list(itertools.permutations(range(1, 9)))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = [encode(p, 3) for p in inputs]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(held) == 40320
+        # slotted, shared alphabet: about 138 B; a per-word __dict__ alone
+        # makes it about 178 B, a fresh alphabet slice alone about 191 B
+        assert retained / len(held) < 160, retained / len(held)
 
 
 class TestFactors:
