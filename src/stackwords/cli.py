@@ -42,14 +42,23 @@ CONVERGENCE_SAMPLES = (10, 50, 200, 1000, 2000)
 # Longest permutation that sort and word encode take. The worst case is
 # word encode --trace with 24 stacks: (t+1)n steps with up to n entries
 # each. On a decreasing permutation at n = 200 that is about 0.7 s and
-# 65 MiB peak in CSV (48 MiB in JSON, 23 MiB in text).
+# 48 MiB peak in JSON (34 MiB in CSV, 23 MiB in text).
 MAX_PERMUTATION_LENGTH = 200
+# the header of word encode --trace in CSV, one row per machine step
+STEP_COLUMNS = ("step", "letter", "value", "stacks", "output")
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str], table: str | None = None) -> None:
+def _emit(
+    args: argparse.Namespace,
+    payload: dict,
+    text_lines: list[str],
+    table: str | None = None,
+    columns: tuple[str, ...] | None = None,
+) -> None:
     """
     Print the payload as JSON, or as CSV: the rows of ``payload[table]``
-    (list cells joined with "; "), else one key/value row per entry.
+    (list cells joined with "; ") under a header of ``columns``, or of
+    the first row's keys, else one key/value row per entry.
     """
     if args.output_format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -57,7 +66,7 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str], table:
         writer = csv.writer(sys.stdout)
         if table:
             rows = payload[table]
-            writer.writerow(rows[0].keys())
+            writer.writerow(columns or rows[0].keys())
             for row in rows:
                 writer.writerow("; ".join(v) if isinstance(v, list) else v for v in row.values())
         else:
@@ -126,16 +135,32 @@ def _cmd_word_encode(args: argparse.Namespace) -> int:
         text.append(f"projection over BCD: {v.letters}")
         text.append(f"BB factors in projection: {payload['bb_factors_in_projection']}")
         text.append(f"violations: {payload['violations']}")
-    # build only the form that is printed: step lines for text, records otherwise
+    # build only the form that is printed: step lines for text, records
+    # for JSON, and for CSV a steps table in the input's one-line notation
+    # (compact digits for n <= 9), one stack per "; "-separated part
+    table = None
     if args.trace and args.output_format == "text":
         text.extend(
             f"step {s.step}: {s.letter} moves {s.value}  stacks={[list(x) for x in s.stacks]} "
             f"out={list(s.output)}"
             for s in run.steps
         )
-    elif args.trace:
+    elif args.trace and args.output_format == "json":
         payload["steps"] = [step.as_record() for step in run.steps]
-    _emit(args, payload, text)
+    elif args.trace:
+        sep = "" if len(p) <= 9 else ","
+        payload["steps"] = [
+            {
+                "step": s.step,
+                "letter": s.letter,
+                "value": s.value,
+                "stacks": [sep.join(map(str, x)) for x in s.stacks],
+                "output": sep.join(map(str, s.output)),
+            }
+            for s in run.steps
+        ]
+        table = "steps"
+    _emit(args, payload, text, table, STEP_COLUMNS)
     return EXIT_OK
 
 

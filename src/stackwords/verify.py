@@ -4,8 +4,10 @@ package checked against brute force at desk scale. Each check returns a
 result with concrete witnesses on failure. Each check takes its sizes
 as arguments; ``BOUNDS`` holds them per level. The ``quick`` level keeps
 exhaustive sweeps to n <= 6 (well under a second); ``full`` pushes them
-to n <= 9 where that matters (four to five seconds on a 2-CPU machine
-with Python 3.11).
+to n <= 9 where that matters (about 2.2 seconds on a quiet 2-CPU
+machine with Python 3.11, up to 4.5 on a busy one). The nine families that read every permutation of
+each n share one streaming sweep in ``run_verification``; each
+``check_<family>`` runs the same sweep with only its own family.
 """
 from __future__ import annotations
 
@@ -37,7 +39,6 @@ from .growth import (
 )
 from .machine import (
     encode,
-    is_t_stack_sortable,
     iterate_stack_sort,
     run_series_machine,
     stack_sort,
@@ -68,22 +69,140 @@ def _result(name: str, detail: str, witnesses: list[str]) -> CheckResult:
     return CheckResult(name=name, passed=not witnesses, detail=detail, witnesses=shown)
 
 
-def check_permutation_statistics(top: int) -> CheckResult:
-    bad = []
-    for n in range(top + 1):
-        avoiders = 0
+class _Seen:
+    """
+    One permutation of the sweep and what the families read from it. Each
+    value is computed on first use, at most once, and goes when the sweep
+    moves on to the next permutation. A value whose computation raises is
+    not kept, so every family that asks for it meets the exception.
+    """
+
+    __slots__ = ("p", "n", "_identity", "_image", "_cur", "_passes", "_words", "_descents", "_avoids_231")
+
+    def __init__(self, p: tuple[int, ...], identity: tuple[int, ...]):
+        self.p, self.n, self._identity = p, len(p), identity
+        self._image = self._descents = self._avoids_231 = None
+        self._cur, self._passes = p, 0  # the stack-sort iterates so far
+        self._words: list[StackWord | None] = [None] * 4
+
+    def image(self) -> tuple[int, ...]:
+        if self._image is None:
+            self._image = stack_sort(self.p)
+        return self._image
+
+    def sortable(self, t: int) -> bool:
+        # iterate only as far as t needs, and never past the identity (a
+        # fixed point), so the pass count reached there is the least one
+        while self._passes < t and self._cur != self._identity:
+            self._cur = stack_sort(self._cur) if self._passes else self.image()
+            self._passes += 1
+        return self._cur == self._identity and self._passes <= t
+
+    def word(self, t: int) -> StackWord:
+        """encode(p, t), for t <= 3."""
+        w = self._words[t]
+        if w is None:
+            w = self._words[t] = encode(self.p, t)
+        return w
+
+    def descents(self) -> int:
+        if self._descents is None:
+            self._descents = descent_count(self.p)
+        return self._descents
+
+    def avoids_231(self) -> bool:
+        if self._avoids_231 is None:
+            self._avoids_231 = not contains_pattern(self.p, (2, 3, 1))
+        return self._avoids_231
+
+
+class _Family:
+    """
+    A property family that reads the shared sweep: ``visit`` sees every
+    permutation of each n in ``sizes`` in all_permutations order, then
+    ``finish`` closes that n. Witnesses collect in ``bad`` in that order;
+    an exception ends the family's part in the sweep and is kept in
+    ``error``.
+    """
+
+    name: str
+
+    def __init__(self, sizes: range, detail: str):
+        self.sizes, self.detail = sizes, detail
+        self.bad: list[str] = []
+        self.error: Exception | None = None
+
+    def visit(self, seen: _Seen) -> None:
+        pass
+
+    def finish(self, n: int) -> None:
+        pass
+
+    def result(self) -> CheckResult:
+        return _result(self.name, self.detail, self.bad)
+
+
+def _sweep(families: list[_Family]) -> None:
+    """
+    Walk all_permutations(n) once for each n that some family reads, and
+    show each permutation to every family reading that n. Nothing outlives
+    the permutation but what the families keep themselves.
+    """
+    for n in range(max((f.sizes.stop for f in families), default=0)):
+        active = [f for f in families if n in f.sizes and f.error is None]
+        if not active:
+            continue
+        identity = tuple(range(1, n + 1))
         for p in all_permutations(n):
-            if not contains_pattern(p, (2, 3, 1)):
-                avoiders += 1
-            if n >= 1 and descent_count(p) + descent_count(p[::-1]) != n - 1:
-                bad.append(f"descent/reverse mismatch at p={format_permutation(p)}")
-            if not contains_pattern(p, p) or not contains_pattern(p, ()):
-                bad.append(f"trivial containment failed at p={format_permutation(p)}")
-            if contains_pattern(p, tuple(range(1, n + 2))):
-                bad.append(f"p={format_permutation(p)} contains a longer pattern")
-        if avoiders != catalan(n):
-            bad.append(f"n={n}: {avoiders} 231-avoiders != catalan {catalan(n)}")
-    return _result("permutation_statistics", f"descents, containment, 231-avoiders for n <= {top}", bad)
+            seen = _Seen(p, identity)
+            for f in active:
+                try:
+                    f.visit(seen)
+                except Exception as exc:
+                    f.error = exc
+                    active = [g for g in active if g is not f]  # the loop goes on over the old list
+            if not active:
+                break
+        for f in active:
+            try:
+                f.finish(n)
+            except Exception as exc:
+                f.error = exc
+
+
+def _sweep_alone(family: _Family) -> CheckResult:
+    _sweep([family])
+    if family.error is not None:
+        raise family.error
+    return family.result()
+
+
+class _PermutationStatistics(_Family):
+    name = "permutation_statistics"
+
+    def __init__(self, top: int):
+        super().__init__(range(top + 1), f"descents, containment, 231-avoiders for n <= {top}")
+        self.avoiders = 0
+
+    def visit(self, seen: _Seen) -> None:
+        p, n = seen.p, seen.n
+        if seen.avoids_231():
+            self.avoiders += 1
+        if n >= 1 and seen.descents() + descent_count(p[::-1]) != n - 1:
+            self.bad.append(f"descent/reverse mismatch at p={format_permutation(p)}")
+        if not contains_pattern(p, p) or not contains_pattern(p, ()):
+            self.bad.append(f"trivial containment failed at p={format_permutation(p)}")
+        if contains_pattern(p, tuple(range(1, n + 2))):
+            self.bad.append(f"p={format_permutation(p)} contains a longer pattern")
+
+    def finish(self, n: int) -> None:
+        if self.avoiders != catalan(n):
+            self.bad.append(f"n={n}: {self.avoiders} 231-avoiders != catalan {catalan(n)}")
+        self.avoiders = 0
+
+
+def check_permutation_statistics(top: int) -> CheckResult:
+    return _sweep_alone(_PermutationStatistics(top))
 
 
 def _count_oracle(name: str, t: int, formula: Callable[[int], int], label: str, top: int) -> CheckResult:
@@ -103,15 +222,27 @@ def check_two_stack_oracle(top: int) -> CheckResult:
     return _count_oracle("two_stack_oracle", 2, two_stack_count, "formula", top)
 
 
-def check_descent_refinement_oracle(top: int) -> CheckResult:
-    bad = []
-    for n in range(1, top + 1):
-        tallies = Counter(descent_count(p) for p in all_permutations(n) if is_t_stack_sortable(p, 2))
+class _DescentRefinementOracle(_Family):
+    name = "descent_refinement_oracle"
+
+    def __init__(self, top: int):
+        super().__init__(range(1, top + 1), f"2-stack counts by descents vs formula for n <= {top}")
+        self.tallies: Counter[int] = Counter()
+
+    def visit(self, seen: _Seen) -> None:
+        if seen.sortable(2):
+            self.tallies[seen.descents()] += 1
+
+    def finish(self, n: int) -> None:
         for d in range(n):
             formula = two_stack_count_by_descents(n, d)
-            if tallies[d] != formula:
-                bad.append(f"n={n} d={d}: brute {tallies[d]} != formula {formula}")
-    return _result("descent_refinement_oracle", f"2-stack counts by descents vs formula for n <= {top}", bad)
+            if self.tallies[d] != formula:
+                self.bad.append(f"n={n} d={d}: brute {self.tallies[d]} != formula {formula}")
+        self.tallies = Counter()
+
+
+def check_descent_refinement_oracle(top: int) -> CheckResult:
+    return _sweep_alone(_DescentRefinementOracle(top))
 
 
 def check_descent_refinement_algebra(top: int) -> CheckResult:
@@ -125,140 +256,180 @@ def check_descent_refinement_algebra(top: int) -> CheckResult:
     return _result("descent_refinement_algebra", f"sum and symmetry identities for n <= {top}", bad)
 
 
+class _SortabilityStructure(_Family):
+    name = "sortability_structure"
+
+    def __init__(self, top: int, avoid_top: int):
+        super().__init__(range(max(top, avoid_top) + 1), f"monotonicity and pattern avoidance for n <= {top}")
+        self.top, self.avoid_top = top, avoid_top
+        self.avoid_bad: list[str] = []  # reported before the other witnesses
+
+    def visit(self, seen: _Seen) -> None:
+        p, n = seen.p, seen.n
+        if n < 1:
+            return
+        if n <= self.avoid_top and seen.sortable(1) != seen.avoids_231():
+            self.avoid_bad.append(f"p={format_permutation(p)}: 1-sortability vs 231-avoidance mismatch")
+        if n > self.top:
+            return
+        sortable = [seen.sortable(t) for t in (1, 2, 3, 4)]
+        if any(a and not b for a, b in zip(sortable, sortable[1:])):
+            self.bad.append(f"p={format_permutation(p)}: sortability not monotone in t")
+        if n >= 2 and not seen.sortable(n - 1):
+            self.bad.append(f"p={format_permutation(p)}: not (n-1)-stack sortable")
+        for t in (1, 2, 3):
+            pattern = tuple(range(2, t + 3)) + (1,)
+            if sortable[t - 1] and contains_pattern(p, pattern):
+                self.bad.append(f"p={format_permutation(p)}: {t}-sortable but contains {format_permutation(pattern)}")
+
+    def result(self) -> CheckResult:
+        return _result(self.name, self.detail, self.avoid_bad + self.bad)
+
+
 def check_sortability_structure(top: int, avoid_top: int) -> CheckResult:
-    bad = []
-    for n in range(avoid_top + 1):
-        for p in all_permutations(n):
-            if n >= 1 and is_t_stack_sortable(p, 1) != (not contains_pattern(p, (2, 3, 1))):
-                bad.append(f"p={format_permutation(p)}: 1-sortability vs 231-avoidance mismatch")
-    for n in range(1, top + 1):
-        for p in all_permutations(n):
-            sortable = [is_t_stack_sortable(p, t) for t in (1, 2, 3, 4)]
-            if any(a and not b for a, b in zip(sortable, sortable[1:])):
-                bad.append(f"p={format_permutation(p)}: sortability not monotone in t")
-            if n >= 2 and not is_t_stack_sortable(p, n - 1):
-                bad.append(f"p={format_permutation(p)}: not (n-1)-stack sortable")
-            for t in (1, 2, 3):
-                pattern = tuple(range(2, t + 3)) + (1,)
-                if sortable[t - 1] and contains_pattern(p, pattern):
-                    bad.append(
-                        f"p={format_permutation(p)}: {t}-sortable but contains "
-                        f"{format_permutation(pattern)}"
-                    )
-    return _result("sortability_structure", f"monotonicity and pattern avoidance for n <= {top}", bad)
+    return _sweep_alone(_SortabilityStructure(top, avoid_top))
+
+
+class _SeriesMachineEquivalence(_Family):
+    # runs its own machine and iterates: this family checks them
+    name = "series_machine_equivalence"
+
+    def __init__(self, top: int):
+        super().__init__(
+            range(top + 1), f"greedy machine output vs iterated sort, trace validity, n <= {top}, t <= 4"
+        )
+
+    def visit(self, seen: _Seen) -> None:
+        p = seen.p
+        for t in (1, 2, 3, 4):
+            run = run_series_machine(p, t)
+            if run.output != iterate_stack_sort(p, t):
+                self.bad.append(
+                    f"p={format_permutation(p)} t={t}: machine "
+                    f"{format_permutation(run.output)} != iterate "
+                    f"{format_permutation(iterate_stack_sort(p, t))}"
+                )
+            try:
+                validate_word(run.word.letters, t)
+            except ValueError as exc:
+                self.bad.append(f"p={format_permutation(p)} t={t}: invalid trace ({exc})")
 
 
 def check_series_machine_equivalence(top: int) -> CheckResult:
-    bad = []
-    for n in range(top + 1):
-        for p in all_permutations(n):
-            for t in (1, 2, 3, 4):
-                run = run_series_machine(p, t)
-                if run.output != iterate_stack_sort(p, t):
-                    bad.append(
-                        f"p={format_permutation(p)} t={t}: machine "
-                        f"{format_permutation(run.output)} != iterate "
-                        f"{format_permutation(iterate_stack_sort(p, t))}"
-                    )
-                try:
-                    validate_word(run.word.letters, t)
-                except ValueError as exc:
-                    bad.append(f"p={format_permutation(p)} t={t}: invalid trace ({exc})")
-    return _result(
-        "series_machine_equivalence",
-        f"greedy machine output vs iterated sort, trace validity, n <= {top}, t <= 4",
-        bad,
-    )
+    return _sweep_alone(_SeriesMachineEquivalence(top))
+
+
+class _ForbiddenFactors(_Family):
+    name = "forbidden_factors"
+
+    def __init__(self, top: int):
+        super().__init__(range(top + 1), f"no forbidden factor in any 3-stack trace, n <= {top}")
+
+    def visit(self, seen: _Seen) -> None:
+        hits = forbidden_factor_violations(seen.word(3))
+        if hits:
+            self.bad.append(f"p={format_permutation(seen.p)}: {hits}")
 
 
 def check_forbidden_factors(top: int) -> CheckResult:
-    bad = []
-    for n in range(top + 1):
-        for p in all_permutations(n):
-            hits = forbidden_factor_violations(encode(p, 3))
-            if hits:
-                bad.append(f"p={format_permutation(p)}: {hits}")
-    return _result("forbidden_factors", f"no forbidden factor in any 3-stack trace, n <= {top}", bad)
+    return _sweep_alone(_ForbiddenFactors(top))
+
+
+class _CodecRoundtrip(_Family):
+    name = "codec_roundtrip"
+
+    def __init__(self, top: int):
+        super().__init__(range(top + 1), f"decode(encode(p)) == p exactly for sortable p, n <= {top}, t <= 3")
+
+    def visit(self, seen: _Seen) -> None:
+        p = seen.p
+        for t in (1, 2, 3):
+            recovered = decode(seen.word(t))
+            if (recovered == p) != seen.sortable(t):
+                self.bad.append(f"p={format_permutation(p)} t={t}: decode gave {format_permutation(recovered)}")
 
 
 def check_codec_roundtrip(top: int) -> CheckResult:
-    bad = []
-    for n in range(top + 1):
-        for p in all_permutations(n):
-            for t in (1, 2, 3):
-                recovered = decode(encode(p, t))
-                if (recovered == p) != is_t_stack_sortable(p, t):
-                    bad.append(f"p={format_permutation(p)} t={t}: decode gave {format_permutation(recovered)}")
-    return _result(
-        "codec_roundtrip",
-        f"decode(encode(p)) == p exactly for sortable p, n <= {top}, t <= 3",
-        bad,
-    )
+    return _sweep_alone(_CodecRoundtrip(top))
+
+
+class _Projection(_Family):
+    name = "projection"
+
+    def __init__(self, top: int):
+        super().__init__(range(top + 1), f"A-stripped trace equals the image's 2-stack word, n <= {top}")
+
+    def visit(self, seen: _Seen) -> None:
+        if not seen.sortable(3):
+            return
+        projected = image_word(seen.word(3))
+        direct = encode(seen.image(), 2)
+        if projected.indices() != direct.indices():
+            self.bad.append(
+                f"p={format_permutation(seen.p)}: projection {projected.letters} != "
+                f"2-stack word {direct.letters} of the image"
+            )
 
 
 def check_projection(top: int) -> CheckResult:
-    bad = []
-    for n in range(top + 1):
-        for p in all_permutations(n):
-            if not is_t_stack_sortable(p, 3):
-                continue
-            projected = image_word(encode(p, 3))
-            direct = encode(stack_sort(p), 2)
-            if projected.indices() != direct.indices():
-                bad.append(
-                    f"p={format_permutation(p)}: projection {projected.letters} != "
-                    f"2-stack word {direct.letters} of the image"
-                )
-    return _result(
-        "projection",
-        f"A-stripped trace equals the image's 2-stack word, n <= {top}",
-        bad,
-    )
+    return _sweep_alone(_Projection(top))
+
+
+class _FactorDescentBijections(_Family):
+    name = "factor_descent_bijections"
+
+    def __init__(self, top: int):
+        super().__init__(
+            range(top + 1), f"AA factors count descents; BB factors count image descents, n <= {top}"
+        )
+
+    def visit(self, seen: _Seen) -> None:
+        p = seen.p
+        for t in (1, 2, 3):
+            if count_factor(seen.word(t), "AA") != seen.descents():
+                self.bad.append(f"p={format_permutation(p)} t={t}: AA count != descents")
+        if seen.sortable(3):
+            v = image_word(seen.word(3))
+            if count_factor(v, "BB") != descent_count(seen.image()):
+                self.bad.append(f"p={format_permutation(p)}: BB count in projection != image descents")
 
 
 def check_factor_descent_bijections(top: int) -> CheckResult:
-    bad = []
-    for n in range(top + 1):
-        for p in all_permutations(n):
-            descents = descent_count(p)
-            for t in (1, 2, 3):
-                word = encode(p, t)
-                if count_factor(word, "AA") != descents:
-                    bad.append(f"p={format_permutation(p)} t={t}: AA count != descents")
-            if is_t_stack_sortable(p, 3):
-                v = image_word(word)  # the t = 3 trace from the loop above
-                if count_factor(v, "BB") != descent_count(stack_sort(p)):
-                    bad.append(f"p={format_permutation(p)}: BB count in projection != image descents")
-    return _result(
-        "factor_descent_bijections",
-        f"AA factors count descents; BB factors count image descents, n <= {top}",
-        bad,
-    )
+    return _sweep_alone(_FactorDescentBijections(top))
 
 
-def check_placement_membership(top: int) -> CheckResult:
-    bad = []
-    for n in range(1, top + 1):
-        by_projection: dict[str, list] = {}
-        for p in all_permutations(n):
-            if is_t_stack_sortable(p, 3):
-                w = encode(p, 3)
-                by_projection.setdefault(image_word(w).letters, []).append((p, w))
+class _PlacementMembership(_Family):
+    name = "placement_membership"
+
+    def __init__(self, top: int):
+        super().__init__(
+            range(1, top + 1), f"every trace among its projection's candidates, stream sizes exact, n <= {top}"
+        )
+        self.by_projection: dict[str, list] = {}  # the 3-sortable p of one n, with their traces
+
+    def visit(self, seen: _Seen) -> None:
+        if seen.sortable(3):
+            w = seen.word(3)
+            self.by_projection.setdefault(image_word(w).letters, []).append((seen.p, w))
+
+    def finish(self, n: int) -> None:
+        by_projection, self.by_projection = self.by_projection, {}
         for v_letters, members in by_projection.items():
             v = StackWord(v_letters, "BCD")
             candidates = {w.letters for w in enumerate_a_placements(v, n)}
             k = count_factor(v, "BB") + 1
             expected = binomial(2 * n - 2 * k, n - 1)
             if len(candidates) != expected:
-                bad.append(f"v={v_letters}: {len(candidates)} candidates != C(2n-2k, n-1) = {expected}")
+                self.bad.append(f"v={v_letters}: {len(candidates)} candidates != C(2n-2k, n-1) = {expected}")
             for p, w in members:
                 if w.letters not in candidates:
-                    bad.append(f"p={format_permutation(p)}: trace {w.letters} missing from candidates of {v_letters}")
-    return _result(
-        "placement_membership",
-        f"every trace among its projection's candidates, stream sizes exact, n <= {top}",
-        bad,
-    )
+                    self.bad.append(
+                        f"p={format_permutation(p)}: trace {w.letters} missing from candidates of {v_letters}"
+                    )
+
+
+def check_placement_membership(top: int) -> CheckResult:
+    return _sweep_alone(_PlacementMembership(top))
 
 
 def _ballot_words(n: int) -> list[str]:
@@ -455,20 +626,49 @@ BOUNDS = {
 LEVELS = tuple(BOUNDS)
 
 
+# The families that read the shared n! sweep, by their check function.
+_SWEEPING: dict[Callable[..., CheckResult], type[_Family]] = {
+    check_permutation_statistics: _PermutationStatistics,
+    check_descent_refinement_oracle: _DescentRefinementOracle,
+    check_sortability_structure: _SortabilityStructure,
+    check_series_machine_equivalence: _SeriesMachineEquivalence,
+    check_forbidden_factors: _ForbiddenFactors,
+    check_codec_roundtrip: _CodecRoundtrip,
+    check_projection: _Projection,
+    check_factor_descent_bijections: _FactorDescentBijections,
+    check_placement_membership: _PlacementMembership,
+}
+
+
 def run_verification(level: str = "quick") -> list[CheckResult]:
     """
-    Run every family in ALL_CHECKS with its sizes from BOUNDS[level]. A
-    check that raises becomes a failed result for its family, with the
+    Run every family in ALL_CHECKS with its sizes from BOUNDS[level], and
+    return the results in that order. The families that sweep all n!
+    permutations share one sweep, made first; an entry of ALL_CHECKS that
+    is not this module's own check function (a timing wrapper, say) runs
+    on its own.
+    A check that raises becomes a failed result for its family, with the
     exception as its witness, and the other families still run.
     """
     if level not in BOUNDS:
         raise ValueError(f"unknown level {level!r}, expected one of {LEVELS}")
     row = BOUNDS[level]
+    swept = {
+        check: _SWEEPING[check](**row[check.__name__.removeprefix("check_")])
+        for check in ALL_CHECKS
+        if check in _SWEEPING
+    }
+    _sweep(list(swept.values()))
     results = []
     for check in ALL_CHECKS:
         family = check.__name__.removeprefix("check_")
         try:
-            results.append(check(**row[family]))
+            if check not in swept:
+                results.append(check(**row[family]))
+            elif swept[check].error is not None:
+                raise swept[check].error
+            else:
+                results.append(swept[check].result())
         except Exception as exc:
             results.append(_result(family, "the check raised an exception", [f"{type(exc).__name__}: {exc}"]))
     return results

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 
@@ -75,6 +76,26 @@ class TestWord:
         payload = json.loads(out)
         assert [s["letter"] for s in payload["steps"]] == list("AABB")
         assert payload["steps"][0] == {"step": 1, "letter": "A", "value": 2, "stacks": [[2]], "output": []}
+
+    @pytest.mark.parametrize(
+        "perm, t", [("2413", 3), ("21", 1), ("10,2,3,4,5,6,7,8,9,1,11", 2), ("", 1)], ids=["n4", "n2", "n11", "n0"]
+    )
+    def test_encode_trace_csv_is_a_steps_table(self, capsys, perm, t):
+        # one row per machine step, in plain one-line notation: a CSV
+        # reader gets the steps back, and their letters spell the word
+        code, out, _ = run(capsys, "--format", "csv", "word", "encode", perm, "-t", str(t), "--trace")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["step", "letter", "value", "stacks", "output"]
+        _, out, _ = run(capsys, "--format", "json", "word", "encode", perm, "-t", str(t))
+        payload = json.loads(out)
+        n = len(perm.split(",")) if "," in perm else len(perm)
+        assert len(rows) == (t + 1) * n
+        assert "".join(row[1] for row in rows) == payload["word"]
+        assert [row[0] for row in rows] == [str(i) for i in range(1, len(rows) + 1)]
+        assert all(row[3].count("; ") == t - 1 for row in rows)
+        if rows:
+            assert rows[-1][3:] == ["; " * (t - 1), payload["output"]]
 
     def test_decode(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "word", "decode", "ABCD", "-t", "3")

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import pytest
 
 import stackwords.counting as counting
 import stackwords.verify as verify
-from stackwords.machine import stack_sort
+from stackwords.machine import is_t_stack_sortable, stack_sort
+from stackwords.perms import all_permutations
 from stackwords.words import StackWord
 
 
@@ -118,3 +120,106 @@ def test_bound_inequalities_sorts_each_permutation_once(monkeypatch):
     result = verify.check_bound_inequalities(top3=6, top_trivial=6)
     assert result.passed, result.witnesses
     assert len(sorted_perms) == sum(math.factorial(n) for n in range(1, 7))
+
+
+def _alone(check):
+    # one family on its own, an exception turned into a failed result the
+    # way run_verification reports it
+    family = check.__name__.removeprefix("check_")
+    try:
+        return check(**verify.BOUNDS["quick"][family])
+    except Exception as exc:
+        return verify.CheckResult(family, False, "the check raised an exception", [f"{type(exc).__name__}: {exc}"])
+
+
+@pytest.fixture(scope="module")
+def clean_alone():
+    return [_alone(check) for check in verify.ALL_CHECKS]
+
+
+def test_shared_sweep_matches_each_family_alone(clean_alone):
+    # name, passed, detail and witnesses, in ALL_CHECKS order
+    assert verify.run_verification("quick") == clean_alone
+
+
+_SWEEPING_FAMILIES = {check.__name__.removeprefix("check_") for check in verify._SWEEPING}
+_SWEEPING_SABOTAGE = [case for case in _SABOTAGE if case[0] in _SWEEPING_FAMILIES]
+
+
+@pytest.mark.parametrize("family, name, wrong", _SWEEPING_SABOTAGE, ids=[case[0] for case in _SWEEPING_SABOTAGE])
+def test_shared_sweep_matches_each_family_alone_under_sabotage(monkeypatch, family, name, wrong):
+    monkeypatch.setattr(verify, name, wrong)
+    shared = verify.run_verification("quick")
+    assert shared == [_alone(check) for check in verify.ALL_CHECKS]
+    assert not shared[[r.name for r in shared].index(family)].passed
+
+
+@pytest.mark.parametrize(
+    "name, family",
+    [("decode", "codec_roundtrip"), ("run_series_machine", "series_machine_equivalence")],
+    ids=["decode", "run_series_machine"],
+)
+def test_a_raising_family_leaves_the_others_clean(monkeypatch, clean_alone, name, family):
+    def broken(*args):
+        raise RuntimeError(f"{name} broke")
+
+    monkeypatch.setattr(verify, name, broken)
+    shared = verify.run_verification("quick")
+    failed = [r for r in shared if not r.passed]
+    assert [(r.name, r.witnesses) for r in failed] == [(family, [f"RuntimeError: {name} broke"])]
+    assert [r for r in shared if r.name != family] == [r for r in clean_alone if r.name != family]
+
+
+def test_a_family_that_raises_leaves_the_sweep_to_the_others():
+    class Seen(verify._Family):
+        def visit(self, seen):
+            self.bad.append(seen.p)
+
+    class RaisesAt213(Seen):
+        def visit(self, seen):
+            if seen.p == (2, 1, 3):
+                raise ValueError("stop")
+            super().visit(seen)
+
+    raising, after = RaisesAt213(range(4), ""), Seen(range(1, 4), "")
+    verify._sweep([raising, after])
+    assert str(raising.error) == "stop"
+    assert raising.bad == [(), (1,), (1, 2), (2, 1), (1, 2, 3), (1, 3, 2)]
+    assert after.error is None
+    assert after.bad == [p for n in range(1, 4) for p in all_permutations(n)]
+
+
+def test_the_sweep_computes_each_word_once(monkeypatch):
+    # One encode(p, t) per p and t <= 3, plus the image's 2-stack word for
+    # each 3-stack sortable p; the machine family keeps its own four runs
+    # per p. Families sweeping on their own encode about 8400 times.
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(verify, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    spy("encode")
+    spy("run_series_machine")
+    assert all(r.passed for r in verify.run_verification("quick"))
+    perms = sum(math.factorial(n) for n in range(7))  # n <= 6, the quick level's sweeps
+    three_sortable = sum(is_t_stack_sortable(p, 3) for n in range(7) for p in all_permutations(n))
+    assert (perms, three_sortable) == (874, 754)
+    assert calls["encode"] <= 3 * perms + three_sortable
+    assert calls["run_series_machine"] == 4 * perms
+
+
+def test_avoidance_witnesses_come_first(monkeypatch):
+    # every p "contains" every pattern, so both loops of
+    # sortability_structure report; the avoid loop's witnesses lead for
+    # all n, as when it ran before the other loop
+    monkeypatch.setattr(verify, "contains_pattern", lambda p, q: True)
+    monkeypatch.setattr(verify, "_MAX_WITNESSES", 100)
+    result = verify.check_sortability_structure(top=3, avoid_top=3)
+    avoid = ["231-avoidance mismatch" in w for w in result.witnesses]
+    assert avoid == [True] * 8 + [False] * 26
