@@ -27,7 +27,7 @@ from .machine import (
     min_sorting_passes,
     run_series_machine,
 )
-from .perms import format_permutation, is_identity, parse_permutation
+from .perms import DEFAULT_ENUMERATION_LIMIT, format_permutation, is_identity, parse_permutation
 from .verify import LEVELS, run_verification
 from .words import count_factor, decode, forbidden_factor_violations, image_word, validate_word
 
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stack sorting, stack words, and exact enumeration of t-stack sortable permutations.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text", dest="output_format")
-    parser.add_argument("--limit", type=_enumeration_limit, default=10, dest="enumeration_limit",
+    parser.add_argument("--limit", type=_enumeration_limit, default=DEFAULT_ENUMERATION_LIMIT, dest="enumeration_limit",
                         help="max length for brute-force enumeration (<= %d)" % HARD_ENUMERATION_CAP)
     parser.add_argument("--tolerance", type=_positive_float, default=1e-10, help="x tolerance for maximization")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .perms import Perm, check_permutation
-from .words import MAX_STACKS, MOVE_LETTERS, StackWord, decode, default_alphabet
+from .words import MOVE_LETTERS, StackWord, decode, default_alphabet
 
 
 def stack_sort(p: Sequence[int]) -> Perm:
@@ -60,13 +60,7 @@ def is_t_stack_sortable(p: Sequence[int], t: int) -> bool:
     """
     if t < 1:
         raise ValueError(f"pass count must be positive, got {t}")
-    cur = tuple(p)
-    identity = tuple(range(1, len(cur) + 1))
-    for _ in range(t):
-        if cur == identity:
-            return True
-        cur = stack_sort(cur)
-    return cur == identity
+    return iterate_stack_sort(p, t) == tuple(range(1, len(p) + 1))
 
 
 def min_sorting_passes(p: Sequence[int]) -> int:
@@ -141,11 +135,9 @@ def run_series_machine(p: Sequence[int], stacks: int, record_steps: bool = False
     'AABCBDCD'
     """
     p = check_permutation(p)
-    if not 1 <= stacks <= MAX_STACKS:
-        raise ValueError(f"stack count {stacks} outside 1..{MAX_STACKS}")
+    alphabet = default_alphabet(stacks)
     t = stacks
     n = len(p)
-    alphabet = default_alphabet(t)
     piles: list[list[int]] = [[] for _ in range(t)]
     first, last = piles[0], piles[t - 1]
     # (code, source, target) of each move from one stack to the next

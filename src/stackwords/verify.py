@@ -11,6 +11,7 @@ each n share one streaming sweep in ``run_verification``; each
 """
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -119,16 +120,20 @@ class _Seen:
 class _Family:
     """
     A property family that reads the shared sweep: ``visit`` sees every
-    permutation of each n in ``sizes`` in all_permutations order, then
-    ``finish`` closes that n. Witnesses collect in ``bad`` in that order;
-    an exception ends the family's part in the sweep and is kept in
-    ``error``.
+    permutation of each n in ``sizes`` (``first`` up to the check's largest
+    size) in all_permutations order, then ``finish`` closes that n.
+    Witnesses collect in ``bad`` in that order; an exception ends the
+    family's part in the sweep, is kept in ``error`` and raised by
+    ``result``. ``detail`` is formatted with the check's sizes.
     """
 
     name: str
+    detail: str
+    first = 0
 
-    def __init__(self, sizes: range, detail: str):
-        self.sizes, self.detail = sizes, detail
+    def __init__(self, **sizes: int):
+        self.sizes = range(self.first, max(sizes.values()) + 1)
+        self.detail = self.detail.format(**sizes)
         self.bad: list[str] = []
         self.error: Exception | None = None
 
@@ -138,8 +143,13 @@ class _Family:
     def finish(self, n: int) -> None:
         pass
 
+    def witnesses(self) -> list[str]:
+        return self.bad
+
     def result(self) -> CheckResult:
-        return _result(self.name, self.detail, self.bad)
+        if self.error is not None:
+            raise self.error
+        return _result(self.name, self.detail, self.witnesses())
 
 
 def _sweep(families: list[_Family]) -> None:
@@ -172,16 +182,15 @@ def _sweep(families: list[_Family]) -> None:
 
 def _sweep_alone(family: _Family) -> CheckResult:
     _sweep([family])
-    if family.error is not None:
-        raise family.error
     return family.result()
 
 
 class _PermutationStatistics(_Family):
     name = "permutation_statistics"
+    detail = "descents, containment, 231-avoiders for n <= {top}"
 
-    def __init__(self, top: int):
-        super().__init__(range(top + 1), f"descents, containment, 231-avoiders for n <= {top}")
+    def __init__(self, **sizes: int):
+        super().__init__(**sizes)
         self.avoiders = 0
 
     def visit(self, seen: _Seen) -> None:
@@ -202,7 +211,7 @@ class _PermutationStatistics(_Family):
 
 
 def check_permutation_statistics(top: int) -> CheckResult:
-    return _sweep_alone(_PermutationStatistics(top))
+    return _sweep_alone(_PermutationStatistics(top=top))
 
 
 def _count_oracle(name: str, t: int, formula: Callable[[int], int], label: str, top: int) -> CheckResult:
@@ -224,9 +233,11 @@ def check_two_stack_oracle(top: int) -> CheckResult:
 
 class _DescentRefinementOracle(_Family):
     name = "descent_refinement_oracle"
+    detail = "2-stack counts by descents vs formula for n <= {top}"
+    first = 1
 
-    def __init__(self, top: int):
-        super().__init__(range(1, top + 1), f"2-stack counts by descents vs formula for n <= {top}")
+    def __init__(self, **sizes: int):
+        super().__init__(**sizes)
         self.tallies: Counter[int] = Counter()
 
     def visit(self, seen: _Seen) -> None:
@@ -242,7 +253,7 @@ class _DescentRefinementOracle(_Family):
 
 
 def check_descent_refinement_oracle(top: int) -> CheckResult:
-    return _sweep_alone(_DescentRefinementOracle(top))
+    return _sweep_alone(_DescentRefinementOracle(top=top))
 
 
 def check_descent_refinement_algebra(top: int) -> CheckResult:
@@ -258,9 +269,10 @@ def check_descent_refinement_algebra(top: int) -> CheckResult:
 
 class _SortabilityStructure(_Family):
     name = "sortability_structure"
+    detail = "monotonicity and pattern avoidance for n <= {top}"
 
     def __init__(self, top: int, avoid_top: int):
-        super().__init__(range(max(top, avoid_top) + 1), f"monotonicity and pattern avoidance for n <= {top}")
+        super().__init__(top=top, avoid_top=avoid_top)
         self.top, self.avoid_top = top, avoid_top
         self.avoid_bad: list[str] = []  # reported before the other witnesses
 
@@ -282,22 +294,18 @@ class _SortabilityStructure(_Family):
             if sortable[t - 1] and contains_pattern(p, pattern):
                 self.bad.append(f"p={format_permutation(p)}: {t}-sortable but contains {format_permutation(pattern)}")
 
-    def result(self) -> CheckResult:
-        return _result(self.name, self.detail, self.avoid_bad + self.bad)
+    def witnesses(self) -> list[str]:
+        return self.avoid_bad + self.bad
 
 
 def check_sortability_structure(top: int, avoid_top: int) -> CheckResult:
-    return _sweep_alone(_SortabilityStructure(top, avoid_top))
+    return _sweep_alone(_SortabilityStructure(top=top, avoid_top=avoid_top))
 
 
 class _SeriesMachineEquivalence(_Family):
     # runs its own machine and iterates: this family checks them
     name = "series_machine_equivalence"
-
-    def __init__(self, top: int):
-        super().__init__(
-            range(top + 1), f"greedy machine output vs iterated sort, trace validity, n <= {top}, t <= 4"
-        )
+    detail = "greedy machine output vs iterated sort, trace validity, n <= {top}, t <= 4"
 
     def visit(self, seen: _Seen) -> None:
         p = seen.p
@@ -316,14 +324,12 @@ class _SeriesMachineEquivalence(_Family):
 
 
 def check_series_machine_equivalence(top: int) -> CheckResult:
-    return _sweep_alone(_SeriesMachineEquivalence(top))
+    return _sweep_alone(_SeriesMachineEquivalence(top=top))
 
 
 class _ForbiddenFactors(_Family):
     name = "forbidden_factors"
-
-    def __init__(self, top: int):
-        super().__init__(range(top + 1), f"no forbidden factor in any 3-stack trace, n <= {top}")
+    detail = "no forbidden factor in any 3-stack trace, n <= {top}"
 
     def visit(self, seen: _Seen) -> None:
         hits = forbidden_factor_violations(seen.word(3))
@@ -332,14 +338,12 @@ class _ForbiddenFactors(_Family):
 
 
 def check_forbidden_factors(top: int) -> CheckResult:
-    return _sweep_alone(_ForbiddenFactors(top))
+    return _sweep_alone(_ForbiddenFactors(top=top))
 
 
 class _CodecRoundtrip(_Family):
     name = "codec_roundtrip"
-
-    def __init__(self, top: int):
-        super().__init__(range(top + 1), f"decode(encode(p)) == p exactly for sortable p, n <= {top}, t <= 3")
+    detail = "decode(encode(p)) == p exactly for sortable p, n <= {top}, t <= 3"
 
     def visit(self, seen: _Seen) -> None:
         p = seen.p
@@ -350,14 +354,12 @@ class _CodecRoundtrip(_Family):
 
 
 def check_codec_roundtrip(top: int) -> CheckResult:
-    return _sweep_alone(_CodecRoundtrip(top))
+    return _sweep_alone(_CodecRoundtrip(top=top))
 
 
 class _Projection(_Family):
     name = "projection"
-
-    def __init__(self, top: int):
-        super().__init__(range(top + 1), f"A-stripped trace equals the image's 2-stack word, n <= {top}")
+    detail = "A-stripped trace equals the image's 2-stack word, n <= {top}"
 
     def visit(self, seen: _Seen) -> None:
         if not seen.sortable(3):
@@ -372,16 +374,12 @@ class _Projection(_Family):
 
 
 def check_projection(top: int) -> CheckResult:
-    return _sweep_alone(_Projection(top))
+    return _sweep_alone(_Projection(top=top))
 
 
 class _FactorDescentBijections(_Family):
     name = "factor_descent_bijections"
-
-    def __init__(self, top: int):
-        super().__init__(
-            range(top + 1), f"AA factors count descents; BB factors count image descents, n <= {top}"
-        )
+    detail = "AA factors count descents; BB factors count image descents, n <= {top}"
 
     def visit(self, seen: _Seen) -> None:
         p = seen.p
@@ -395,16 +393,16 @@ class _FactorDescentBijections(_Family):
 
 
 def check_factor_descent_bijections(top: int) -> CheckResult:
-    return _sweep_alone(_FactorDescentBijections(top))
+    return _sweep_alone(_FactorDescentBijections(top=top))
 
 
 class _PlacementMembership(_Family):
     name = "placement_membership"
+    detail = "every trace among its projection's candidates, stream sizes exact, n <= {top}"
+    first = 1
 
-    def __init__(self, top: int):
-        super().__init__(
-            range(1, top + 1), f"every trace among its projection's candidates, stream sizes exact, n <= {top}"
-        )
+    def __init__(self, **sizes: int):
+        super().__init__(**sizes)
         self.by_projection: dict[str, list] = {}  # the 3-sortable p of one n, with their traces
 
     def visit(self, seen: _Seen) -> None:
@@ -429,28 +427,17 @@ class _PlacementMembership(_Family):
 
 
 def check_placement_membership(top: int) -> CheckResult:
-    return _sweep_alone(_PlacementMembership(top))
+    return _sweep_alone(_PlacementMembership(top=top))
 
 
 def _ballot_words(n: int) -> list[str]:
-    # all words with n 'A' and n 'B' where every prefix has #A >= #B
-    out: list[str] = []
-
-    def grow(prefix: list[str], a: int, b: int) -> None:
-        if a + b == 2 * n:
-            out.append("".join(prefix))
-            return
-        if a < n:
-            prefix.append("A")
-            grow(prefix, a + 1, b)
-            prefix.pop()
-        if b < a:
-            prefix.append("B")
-            grow(prefix, a, b + 1)
-            prefix.pop()
-
-    grow([], 0, 0)
-    return out
+    # all words with n 'A' and n 'B' where every prefix has #A >= #B,
+    # that is, where the i-th A (from 0) stands at or before position 2i
+    return [
+        "".join("A" if at in a_at else "B" for at in range(2 * n))
+        for a_at in itertools.combinations(range(2 * n), n)
+        if all(at <= 2 * i for i, at in enumerate(a_at))
+    ]
 
 
 def check_one_stack_word_count(top: int) -> CheckResult:
@@ -653,22 +640,13 @@ def run_verification(level: str = "quick") -> list[CheckResult]:
     if level not in BOUNDS:
         raise ValueError(f"unknown level {level!r}, expected one of {LEVELS}")
     row = BOUNDS[level]
-    swept = {
-        check: _SWEEPING[check](**row[check.__name__.removeprefix("check_")])
-        for check in ALL_CHECKS
-        if check in _SWEEPING
-    }
+    families = {check: check.__name__.removeprefix("check_") for check in ALL_CHECKS}
+    swept = {check: _SWEEPING[check](**row[family]) for check, family in families.items() if check in _SWEEPING}
     _sweep(list(swept.values()))
     results = []
-    for check in ALL_CHECKS:
-        family = check.__name__.removeprefix("check_")
+    for check, family in families.items():
         try:
-            if check not in swept:
-                results.append(check(**row[family]))
-            elif swept[check].error is not None:
-                raise swept[check].error
-            else:
-                results.append(swept[check].result())
+            results.append(swept[check].result() if check in swept else check(**row[family]))
         except Exception as exc:
             results.append(_result(family, "the check raised an exception", [f"{type(exc).__name__}: {exc}"]))
     return results

@@ -83,10 +83,9 @@ def validate_word(text: str, stacks: int, alphabet: str | None = None) -> StackW
         ...
     ValueError: ballot condition violated at position 3: prefix 'ABB' has more 'B' than 'A'
     """
-    if not 1 <= stacks <= MAX_STACKS:
-        raise ValueError(f"stack count {stacks} outside 1..{MAX_STACKS}")
+    standard = default_alphabet(stacks)  # checks the stack count first
     if alphabet is None:
-        alphabet = default_alphabet(stacks)
+        alphabet = standard
     if len(alphabet) != stacks + 1:
         raise ValueError(f"alphabet {alphabet!r} does not have {stacks + 1} letters")
     pos = {ch: i for i, ch in enumerate(alphabet)}

@@ -172,16 +172,20 @@ def test_a_raising_family_leaves_the_others_clean(monkeypatch, clean_alone, name
 
 def test_a_family_that_raises_leaves_the_sweep_to_the_others():
     class Seen(verify._Family):
+        detail, first = "", 1
+
         def visit(self, seen):
             self.bad.append(seen.p)
 
     class RaisesAt213(Seen):
+        first = 0
+
         def visit(self, seen):
             if seen.p == (2, 1, 3):
                 raise ValueError("stop")
             super().visit(seen)
 
-    raising, after = RaisesAt213(range(4), ""), Seen(range(1, 4), "")
+    raising, after = RaisesAt213(top=3), Seen(top=3)
     verify._sweep([raising, after])
     assert str(raising.error) == "stop"
     assert raising.bad == [(), (1,), (1, 2), (2, 1), (1, 2, 3), (1, 3, 2)]
