@@ -3,7 +3,8 @@ Command-line front end. Subcommands: sort, word, count, bound, asymptote,
 verify. Output is text for humans or JSON/CSV for machines; JSON is
 byte-stable across runs for identical inputs.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 from .counting import (
@@ -29,17 +31,19 @@ from .machine import (
 )
 from .perms import DEFAULT_ENUMERATION_LIMIT, format_permutation, is_identity, parse_permutation
 from .verify import LEVELS, run_verification
-from .words import count_factor, decode, forbidden_factor_violations, image_word, validate_word
+from .words import count_factor, decode, default_alphabet, forbidden_factor_violations, image_word, validate_word
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 HARD_ENUMERATION_CAP = 12
 # Python's default int-to-str limit: no printed integer may be longer
 MAX_PRINTED_DIGITS = 4300
 CONVERGENCE_SAMPLES = (10, 50, 200, 1000, 2000)
-# Longest permutation that sort and word encode take. The worst case is
+# Longest permutation that sort and word encode take; word decode takes
+# words of as many entries, (t+1) letters each. The worst case is
 # word encode --trace with 24 stacks: (t+1)n steps with up to n entries
 # each. On a decreasing permutation at n = 200 that is about 0.7 s and
 # 48 MiB peak in JSON (34 MiB in CSV, 23 MiB in text).
@@ -165,6 +169,11 @@ def _cmd_word_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_word_decode(args: argparse.Namespace) -> int:
+    cap = len(default_alphabet(args.stacks)) * MAX_PERMUTATION_LENGTH  # checks the stack count first
+    if len(args.value) > cap:
+        raise ValueError(
+            f"word of length {len(args.value)} is longer than the cap of {cap} letters for {args.stacks} stacks"
+        )
     word = validate_word(args.value, args.stacks)
     recovered = decode(word)
     payload = {
@@ -348,10 +357,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # that the flush at shutdown cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

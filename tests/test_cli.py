@@ -1,13 +1,21 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackwords.cli import MAX_PERMUTATION_LENGTH, main
+from stackwords.machine import encode
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -137,6 +145,26 @@ class TestLengthCap:
         assert out == ""
         assert f"permutation of length {n} is longer than the cap of {MAX_PERMUTATION_LENGTH}" in err
 
+    def test_longest_word_decodes(self, capsys):
+        n = MAX_PERMUTATION_LENGTH
+        word = encode(tuple(range(n, 0, -1)), 3).letters
+        code, out, _ = run(capsys, "--format", "json", "word", "decode", word, "-t", "3")
+        assert code == 0
+        assert json.loads(out)["permutation"] == self.decreasing(n)
+
+    def test_one_word_entry_more_exits_2(self, capsys):
+        n = MAX_PERMUTATION_LENGTH + 1
+        word = encode(tuple(range(n, 0, -1)), 3).letters
+        code, out, err = run(capsys, "word", "decode", word, "-t", "3")
+        assert code == 2
+        assert out == ""
+        assert f"word of length {4 * n} is longer than the cap of {4 * MAX_PERMUTATION_LENGTH} letters" in err
+
+    def test_a_bad_stack_count_is_named_before_the_word_cap(self, capsys):
+        code, out, err = run(capsys, "word", "decode", "AB" * MAX_PERMUTATION_LENGTH, "-t", "0")
+        assert (code, out) == (2, "")
+        assert "stack count 0 outside 1..24" in err
+
 
 class TestCount:
     def test_formula_and_brute_agree(self, capsys):
@@ -263,7 +291,23 @@ class TestAsymptote:
         assert first == second
 
 
+# sha256 of the exact stdout of verify --level quick in each format. A
+# change that means to alter the report updates these and says so in
+# CHANGES.md; any other byte change fails here.
+QUICK_REPORT_SHA256 = {
+    "text": "b0b6079ad33c42aacb71aeae884777be5c6ca17c88914cc400d817a8c4465e47",
+    "json": "66003859a012bd505cc4982ed6f8060067266d9ec413843a9175dff6dd1772f6",
+    "csv": "bdcf30eb866ff59b428743b74555c7f0d560f732c4d6c3712e6902d17a181f86",
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("output_format", sorted(QUICK_REPORT_SHA256))
+    def test_quick_report_is_byte_stable(self, capsys, output_format):
+        code, out, err = run(capsys, "--format", output_format, "verify", "--level", "quick")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == QUICK_REPORT_SHA256[output_format], out
+
     def test_quick_level_passes(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "verify", "--level", "quick")
         assert code == 0
@@ -302,6 +346,25 @@ class TestVerify:
         assert f"witness: {type(exc).__name__}: {exc}" in out
         assert out.count("PASS ") == len(verify.ALL_CHECKS) - 1
         assert f"{len(verify.ALL_CHECKS) - 1}/{len(verify.ALL_CHECKS)} property families passed" in out
+
+
+class TestClosedPipe:
+    # PYTHONUNBUFFERED set: the handler's own write meets the closed pipe;
+    # unset: the output is still buffered, and main's final flush meets it
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["in_the_handler", "in_the_final_flush"])
+    def test_a_closed_stdout_exits_141_without_a_traceback(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts: its first write fails
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+        argv = ["--format", "csv", "word", "encode", "10,2,3,4,5,6,7,8,9,1,11", "-t", "2", "--trace"]
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "stackwords.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr.decode()) == (141, "")
 
 
 class TestUsage:
