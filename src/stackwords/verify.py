@@ -434,7 +434,7 @@ def _ballot_words(n: int) -> list[str]:
     # all words with n 'A' and n 'B' where every prefix has #A >= #B,
     # that is, where the i-th A (from 0) stands at or before position 2i
     return [
-        "".join("A" if at in a_at else "B" for at in range(2 * n))
+        "".join("A" if k in a_at else "B" for k in range(2 * n))
         for a_at in itertools.combinations(range(2 * n), n)
         if all(at <= 2 * i for i, at in enumerate(a_at))
     ]
