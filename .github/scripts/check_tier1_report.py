@@ -38,7 +38,11 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(f"usage: {argv[0]} REPORT.xml", file=sys.stderr)
         return 2
-    found = problems(argv[1])
+    try:
+        found = problems(argv[1])
+    except (OSError, ET.ParseError) as exc:
+        print(f"cannot read {argv[1]}: {exc}", file=sys.stderr)
+        return 1
     print("\n".join(found) or f"only {EXPECTED} failed, naming its {EXPECTED_GAP} gap")
     return 1 if found else 0
 

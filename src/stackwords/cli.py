@@ -169,6 +169,8 @@ def _cmd_word_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_word_decode(args: argparse.Namespace) -> int:
+    if args.trace:
+        raise ValueError("--trace applies to word encode only")
     cap = len(default_alphabet(args.stacks)) * MAX_PERMUTATION_LENGTH  # checks the stack count first
     if len(args.value) > cap:
         raise ValueError(
@@ -309,8 +311,18 @@ def _enumeration_limit(value: str) -> int:
     return n
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        # argparse drops a failed write of its help; write and flush here
+        # instead, so that a closed stdout reaches main's BrokenPipeError
+        # path (subparsers are built from this class too)
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stackwords",
         description="Stack sorting, stack words, and exact enumeration of t-stack sortable permutations.",
     )
@@ -355,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # --help prints here, then raises SystemExit(0)
         code = args.handler(args)
         sys.stdout.flush()
         return code

@@ -36,7 +36,7 @@ from .growth import (
     growth_rate_unsimplified,
     maximize_growth_rate,
     summand_nth_root,
-    _log_growth_rate,
+    _log_growth_slope,
 )
 from .machine import (
     encode,
@@ -514,9 +514,8 @@ def check_growth_function() -> CheckResult:
             bad.append(f"{method} maximizer {found.x_star} vs closed form {x_closed}")
         if abs(found.g_star - 12.53296) > 5e-5:
             bad.append(f"{method} maximum {found.g_star} not within 5e-5 of 12.53296")
-    h = 1e-6
-    slope = (_log_growth_rate(x_closed + h) - _log_growth_rate(x_closed - h)) / (2 * h)
-    if abs(slope) > 1e-5:
+    slope = _log_growth_slope(x_closed)
+    if abs(slope) > 1e-12:
         bad.append(f"log growth rate not stationary at closed-form point (slope {slope})")
     return _result(
         "growth_function",

@@ -116,6 +116,11 @@ class TestWord:
         assert code == 2
         assert "position 3" in err
 
+    def test_decode_trace_exits_2(self, capsys):
+        code, out, err = run(capsys, "word", "decode", "ABCD", "-t", "3", "--trace")
+        assert (code, out) == (2, "")
+        assert err == "error: --trace applies to word encode only\n"
+
 
 class TestLengthCap:
     # the slowest inputs: sort needs n-1 passes on 2..n,1, and a decreasing
@@ -265,7 +270,22 @@ def asymptote_json_runs():
     return runs
 
 
+# sha256 of the exact stdout of asymptote at the default tolerance, as
+# QUICK_REPORT_SHA256 below pins verify's; JSON carries x_star_bisection
+# in full, so only the text and CSV forms are pinned
+ASYMPTOTE_SHA256 = {
+    "text": "f99cddb58b048488849167712ee390f26d4a17f8b1b25c5f554c3d357ec0e61f",
+    "csv": "442fc7224174425b49015843a682b4afda5195de5e6dd271de650faf54bc8b7d",
+}
+
+
 class TestAsymptote:
+    @pytest.mark.parametrize("output_format", sorted(ASYMPTOTE_SHA256))
+    def test_report_is_byte_stable(self, capsys, output_format):
+        code, out, err = run(capsys, "--format", output_format, "asymptote")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == ASYMPTOTE_SHA256[output_format], out
+
     def test_json_payload(self, asymptote_json_runs):
         code, out = asymptote_json_runs[0]
         assert code == 0
@@ -273,6 +293,7 @@ class TestAsymptote:
         assert abs(payload["x_star"] - 0.2883918927) < 1e-7
         assert abs(payload["x_star_closed_form"] - 0.2883918927) < 1e-8
         assert abs(payload["x_star_bisection"] - payload["x_star"]) < 1e-7
+        assert abs(payload["x_star_bisection"] - payload["x_star_closed_form"]) <= 1e-10
         assert abs(payload["g_star"] - 12.53296) < 5e-5
         assert payload["method"] == "golden_section"
         assert payload["tolerance"] == 1e-10
@@ -348,15 +369,29 @@ class TestVerify:
         assert f"{len(verify.ALL_CHECKS) - 1}/{len(verify.ALL_CHECKS)} property families passed" in out
 
 
+_TRACE_ARGV = ["--format", "csv", "word", "encode", "10,2,3,4,5,6,7,8,9,1,11", "-t", "2", "--trace"]
+
+
 class TestClosedPipe:
     # PYTHONUNBUFFERED set: the handler's own write meets the closed pipe;
-    # unset: the output is still buffered, and main's final flush meets it
-    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["in_the_handler", "in_the_final_flush"])
-    def test_a_closed_stdout_exits_141_without_a_traceback(self, unbuffered):
+    # unset: the output is still buffered, and main's final flush meets it.
+    # --help is written and flushed by the parser, inside parse_args.
+    @pytest.mark.parametrize(
+        "unbuffered, argv",
+        [
+            ("1", _TRACE_ARGV),
+            ("", _TRACE_ARGV),
+            ("1", ["--help"]),
+            ("", ["--help"]),
+            ("1", ["sort", "--help"]),
+            ("", ["sort", "--help"]),
+        ],
+        ids=["in_the_handler", "in_the_final_flush", "help", "help_buffered", "sort_help", "sort_help_buffered"],
+    )
+    def test_a_closed_stdout_exits_141_without_a_traceback(self, unbuffered, argv):
         read_end, write_end = os.pipe()
         os.close(read_end)  # before the child starts: its first write fails
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
-        argv = ["--format", "csv", "word", "encode", "10,2,3,4,5,6,7,8,9,1,11", "-t", "2", "--trace"]
         try:
             child = subprocess.run(
                 [sys.executable, "-m", "stackwords.cli", *argv],
@@ -368,6 +403,18 @@ class TestClosedPipe:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["--help"], "usage: stackwords [-h]"), (["sort", "--help"], "usage: stackwords sort [-h]")],
+        ids=["help", "sort_help"],
+    )
+    def test_help_exits_0_on_stdout(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(usage) and err == ""
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])

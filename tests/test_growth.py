@@ -65,6 +65,22 @@ class TestCriticalPoint:
         assert abs(slope) < 1e-6
 
 
+class TestLogGrowthSlope:
+    GRID = [0.01 + i * 0.48 / 96 for i in range(97)]  # interior points
+
+    def test_agrees_with_a_central_difference(self):
+        # the oracle for the closed form, with a step far above rounding noise
+        h = 1e-6
+        for x in self.GRID:
+            difference = (growth._log_growth_rate(x + h) - growth._log_growth_rate(x - h)) / (2 * h)
+            assert growth._log_growth_slope(x) == pytest.approx(difference, abs=1e-6), x
+
+    def test_sign_is_the_sign_of_the_cubic(self):
+        for x in self.GRID + [critical_point() - 1e-9, critical_point() + 1e-9]:
+            cubic = 1 - 4 * x + 3 * x**2 - 4 * x**3
+            assert math.copysign(1.0, growth._log_growth_slope(x)) == math.copysign(1.0, cubic), x
+
+
 class TestMaximize:
     def test_golden_section_matches_closed_form(self):
         found = maximize_growth_rate(1e-10)
@@ -77,6 +93,11 @@ class TestMaximize:
         found = maximize_growth_rate(1e-10, "derivative_bisection")
         assert found.method == "derivative_bisection"
         assert abs(found.x_star - critical_point()) < 1e-8
+
+    @pytest.mark.parametrize("tolerance", [1e-10, 1e-12, 1e-15])
+    def test_bisection_meets_its_tolerance(self, tolerance):
+        found = maximize_growth_rate(tolerance, "derivative_bisection")
+        assert abs(found.x_star - critical_point()) <= tolerance
 
     def test_g_star_is_reevaluated(self):
         found = maximize_growth_rate(1e-10)

@@ -74,3 +74,17 @@ def test_criterion_10_passing_is_a_problem(tmp_path):
     problems = gate.problems(report)
     assert len(problems) == 1
     assert "did not fail" in problems[0]
+
+
+@pytest.mark.parametrize(
+    "content", [None, '<?xml version="1.0"?><testsuites><testsuite name="pytest">'], ids=["missing", "truncated"]
+)
+def test_an_unreadable_report_is_one_line_and_exit_1(tmp_path, capsys, content):
+    report = tmp_path / "tier1-report.xml"
+    if content is not None:
+        report.write_text(content)
+    assert gate.main(["check_tier1_report.py", str(report)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"cannot read {report}: ")
+    assert "Traceback" not in err

@@ -69,6 +69,7 @@ _SABOTAGE = [
     ("series_machine_equivalence", "iterate_stack_sort", lambda p, t: p),
     ("placement_membership", "enumerate_a_placements", lambda v, n: iter(())),
     ("growth_function", "critical_point", lambda: 0.25),
+    ("growth_function", "_log_growth_slope", lambda x: 1.0),
     # the preimage engine: a fertility no image can have, then no images at all
     ("bound_inequalities", "image_fertilities", lambda n: iter([(tuple(range(1, n + 1)), 10**9)])),
     ("bound_inequalities", "image_fertilities", lambda n: iter(())),
