@@ -4,7 +4,8 @@ verify. Output is text for humans or JSON/CSV for machines; JSON is
 byte-stable across runs for identical inputs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
+130 (128 + SIGINT) when interrupted (Ctrl-C), 141 (128 + SIGPIPE) when
+the reader closes stdout before the output ends.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from .words import count_factor, decode, default_alphabet, forbidden_factor_viol
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
 HARD_ENUMERATION_CAP = 12
@@ -382,6 +384,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -4,16 +4,22 @@ package checked against brute force at desk scale. Each check returns a
 result with concrete witnesses on failure. Each check takes its sizes
 as arguments; ``BOUNDS`` holds them per level. The ``quick`` level keeps
 exhaustive sweeps to n <= 6 (well under a second); ``full`` pushes them
-to n <= 9 where that matters (about 2.2 seconds on a quiet 2-CPU
-machine with Python 3.11, up to 4.5 on a busy one). The nine families that read every permutation of
-each n share one streaming sweep in ``run_verification``; each
-``check_<family>`` runs the same sweep with only its own family.
+to n <= 9 where that matters (about 2 seconds on a 2-CPU machine with
+Python 3.11, up to 2.6 on a busy one, about 3.5 on one CPU).
+``run_verification`` runs the eight families that share one streaming
+sweep over every permutation of each n in its own process, and every
+other check at the same time in one forked child; each
+``check_<family>`` of a sweeping family runs the same sweep with only
+its own family.
 """
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import signal
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .counting import (
@@ -119,9 +125,10 @@ class _Seen:
 
 class _Family:
     """
-    A property family that reads the shared sweep: ``visit`` sees every
-    permutation of each n in ``sizes`` (``first`` up to the check's largest
-    size) in all_permutations order, then ``finish`` closes that n.
+    A property family that reads a sweep, shared or its own: ``visit``
+    sees every permutation of each n in ``sizes`` (``first`` up to the
+    check's largest size) in all_permutations order, then ``finish``
+    closes that n.
     Witnesses collect in ``bad`` in that order; an exception ends the
     family's part in the sweep, is kept in ``error`` and raised by
     ``result``. ``detail`` is formatted with the check's sizes.
@@ -303,7 +310,8 @@ def check_sortability_structure(top: int, avoid_top: int) -> CheckResult:
 
 
 class _SeriesMachineEquivalence(_Family):
-    # runs its own machine and iterates: this family checks them
+    # runs its own machine and iterates: this family checks them, and
+    # reads only p from the sweep, so it sweeps alone, in run_verification's child
     name = "series_machine_equivalence"
     detail = "greedy machine output vs iterated sort, trace validity, n <= {top}, t <= 4"
 
@@ -612,12 +620,11 @@ BOUNDS = {
 LEVELS = tuple(BOUNDS)
 
 
-# The families that read the shared n! sweep, by their check function.
+# The families that share the n! sweep of run_verification, by their check function.
 _SWEEPING: dict[Callable[..., CheckResult], type[_Family]] = {
     check_permutation_statistics: _PermutationStatistics,
     check_descent_refinement_oracle: _DescentRefinementOracle,
     check_sortability_structure: _SortabilityStructure,
-    check_series_machine_equivalence: _SeriesMachineEquivalence,
     check_forbidden_factors: _ForbiddenFactors,
     check_codec_roundtrip: _CodecRoundtrip,
     check_projection: _Projection,
@@ -626,26 +633,118 @@ _SWEEPING: dict[Callable[..., CheckResult], type[_Family]] = {
 }
 
 
+def _raised(family: str, exc: BaseException) -> CheckResult:
+    return _result(family, "the check raised an exception", [f"{type(exc).__name__}: {exc}"])
+
+
+def _run_checks(checks: list[Callable[..., CheckResult]], row: dict[str, dict]) -> list[CheckResult]:
+    """Call each check with its sizes from row; one that raises fails its family."""
+    results = []
+    for check in checks:
+        family = check.__name__.removeprefix("check_")
+        try:
+            results.append(check(**row[family]))
+        except Exception as exc:
+            results.append(_raised(family, exc))
+    return results
+
+
+def _child(
+    checks: list[Callable[..., CheckResult]],
+    row: dict[str, dict],
+    sigmask: set[signal.Signals],
+    read_end: int,
+    write_end: int,
+) -> None:
+    # never returns into the caller's stack: os._exit on every path, an
+    # interrupt included, so the child runs no cleanup of the parent's
+    code = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            pipe.write(json.dumps([asdict(r) for r in _run_checks(checks, row)]).encode())
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_beside(
+    checks: list[Callable[..., CheckResult]], row: dict[str, dict], work: Callable[[], None]
+) -> list[CheckResult]:
+    """
+    _run_checks(checks, row), in one forked child while work() runs in
+    this process; here, after work(), where os.fork is missing or fails.
+    A child that ends without a complete result fails each of its
+    families, with its exit status as the witness. The child is killed,
+    if need be, and reaped before this returns or raises.
+    """
+    pid = None
+    if hasattr(os, "fork"):
+        read_end, write_end = os.pipe()
+        sigmask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        try:
+            # SIGINT waits, blocked, from before the fork until each process
+            # stands inside the try that cleans up after it
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            pid = os.fork()
+        except OSError:
+            pass
+        finally:
+            if pid is None:
+                os.close(read_end)
+                os.close(write_end)
+                signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
+    if pid is None:
+        work()
+        return _run_checks(checks, row)
+    if pid == 0:
+        _child(checks, row, sigmask, read_end, write_end)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
+            work()
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        try:
+            return [CheckResult(**fields) for fields in json.loads(data)]
+        except ValueError:
+            pass
+    ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+    exc = ChildProcessError(f"the checking child process ended ({ended}) without a complete result")
+    return [_raised(check.__name__.removeprefix("check_"), exc) for check in checks]
+
+
 def run_verification(level: str = "quick") -> list[CheckResult]:
     """
     Run every family in ALL_CHECKS with its sizes from BOUNDS[level], and
-    return the results in that order. The families that sweep all n!
-    permutations share one sweep, made first; an entry of ALL_CHECKS that
-    is not this module's own check function (a timing wrapper, say) runs
-    on its own.
+    return the results in that order. The families of _SWEEPING share one
+    n! sweep in this process; meanwhile one forked child runs every other
+    check of this module. An entry of ALL_CHECKS that is not this module's
+    own check function (a timing wrapper, say) runs in this process.
     A check that raises becomes a failed result for its family, with the
     exception as its witness, and the other families still run.
     """
     if level not in BOUNDS:
         raise ValueError(f"unknown level {level!r}, expected one of {LEVELS}")
     row = BOUNDS[level]
-    families = {check: check.__name__.removeprefix("check_") for check in ALL_CHECKS}
-    swept = {check: _SWEEPING[check](**row[family]) for check, family in families.items() if check in _SWEEPING}
-    _sweep(list(swept.values()))
-    results = []
-    for check, family in families.items():
-        try:
-            results.append(swept[check].result() if check in swept else check(**row[family]))
-        except Exception as exc:
-            results.append(_result(family, "the check raised an exception", [f"{type(exc).__name__}: {exc}"]))
-    return results
+    swept = {check: family(**row[family.name]) for check, family in _SWEEPING.items() if check in ALL_CHECKS}
+    own = [check for check in ALL_CHECKS if check not in swept and check is globals().get(check.__name__)]
+    others = [check for check in ALL_CHECKS if check not in swept and check not in own]
+    results = {}
+
+    def here() -> None:
+        _sweep(list(swept.values()))
+        for check, family in swept.items():
+            results[check] = family.result() if family.error is None else _raised(family.name, family.error)
+        results.update(zip(others, _run_checks(others, row)))
+
+    results.update(zip(own, _run_beside(own, row, here)))
+    return [results[check] for check in ALL_CHECKS]

@@ -5,8 +5,10 @@ import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -400,6 +402,35 @@ class TestClosedPipe:
         finally:
             os.close(write_end)
         assert (child.returncode, child.stderr.decode()) == (141, "")
+
+
+class TestInterrupt:
+    def test_ctrl_c_exits_130_and_leaves_no_process(self):
+        # SIGINT to the whole group, as a terminal sends Ctrl-C, once
+        # verify has forked its child: both processes are interrupted
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stackwords.cli", "verify", "--level", "full"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
+        )
+        pgid = proc.pid
+        try:
+            children = pathlib.Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            if not children.exists():
+                pytest.skip("needs /proc/<pid>/task/<pid>/children to see the forked child")
+            deadline = time.monotonic() + 30
+            while not children.read_text().strip() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert proc.poll() is None, "verify ended before it could be interrupted"
+            os.killpg(pgid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pgid, signal.SIGKILL)
+            proc.wait()
+        assert (proc.returncode, out, err) == (130, b"", b"")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(pgid, 0)
 
 
 class TestUsage:

@@ -1,10 +1,14 @@
+import functools
 import math
+import os
+import time
 from collections import Counter
 
 import pytest
 
 import stackwords.counting as counting
 import stackwords.verify as verify
+from stackwords.cli import main
 from stackwords.machine import is_t_stack_sortable, stack_sort
 from stackwords.perms import all_permutations
 from stackwords.words import StackWord
@@ -143,7 +147,9 @@ def test_shared_sweep_matches_each_family_alone(clean_alone):
     assert verify.run_verification("quick") == clean_alone
 
 
-_SWEEPING_FAMILIES = {check.__name__.removeprefix("check_") for check in verify._SWEEPING}
+# every family that walks the n! permutations: those of the shared sweep,
+# and the machine family, whose check sweeps on its own in the forked child
+_SWEEPING_FAMILIES = {family.name for family in verify._Family.__subclasses__()}
 _SWEEPING_SABOTAGE = [case for case in _SABOTAGE if case[0] in _SWEEPING_FAMILIES]
 
 
@@ -194,24 +200,31 @@ def test_a_family_that_raises_leaves_the_sweep_to_the_others():
     assert after.bad == [p for n in range(1, 4) for p in all_permutations(n)]
 
 
-def test_the_sweep_computes_each_word_once(monkeypatch):
+def test_the_sweep_computes_each_word_once(monkeypatch, tmp_path):
     # One encode(p, t) per p and t <= 3, plus the image's 2-stack word for
     # each 3-stack sortable p; the machine family keeps its own four runs
     # per p. Families sweeping on their own encode about 8400 times.
-    calls = Counter()
+    # Each call appends its initial to one file, so the forked child's
+    # calls count too.
+    log = os.open(tmp_path / "calls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def spy(name):
         real = getattr(verify, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            os.write(log, name[:1].encode())
             return real(*args, **kwargs)
 
         monkeypatch.setattr(verify, name, counted)
 
     spy("encode")
     spy("run_series_machine")
-    assert all(r.passed for r in verify.run_verification("quick"))
+    try:
+        assert all(r.passed for r in verify.run_verification("quick"))
+    finally:
+        os.close(log)
+    letters = Counter((tmp_path / "calls").read_text())
+    calls = {"encode": letters["e"], "run_series_machine": letters["r"]}
     perms = sum(math.factorial(n) for n in range(7))  # n <= 6, the quick level's sweeps
     three_sortable = sum(is_t_stack_sortable(p, 3) for n in range(7) for p in all_permutations(n))
     assert (perms, three_sortable) == (874, 754)
@@ -228,3 +241,100 @@ def test_avoidance_witnesses_come_first(monkeypatch):
     result = verify.check_sortability_structure(top=3, avoid_top=3)
     avoid = ["231-avoidance mismatch" in w for w in result.witnesses]
     assert avoid == [True] * 8 + [False] * 26
+
+
+# the checks that run in the forked child: this module's own, not in _SWEEPING
+_CHILD_FAMILIES = [
+    check.__name__.removeprefix("check_") for check in verify.ALL_CHECKS if check not in verify._SWEEPING
+]
+
+
+@pytest.fixture
+def growth_rate_exits_3(monkeypatch):
+    # growth_rate is read by growth_function and growth_bridge only
+    test_process = os.getpid()
+
+    def exits_3(x):
+        assert os.getpid() != test_process, "a child-run check ran in this process"
+        os._exit(3)
+
+    monkeypatch.setattr(verify, "growth_rate", exits_3)
+
+
+_CHILD_EXITED_3 = "ChildProcessError: the checking child process ended (exit status 3) without a complete result"
+
+
+def test_a_child_that_dies_fails_its_families_only(growth_rate_exits_3, clean_alone):
+    shared = verify.run_verification("quick")
+    failed = [r for r in shared if not r.passed]
+    assert [(r.name, r.detail, r.witnesses) for r in failed] == [
+        (family, "the check raised an exception", [_CHILD_EXITED_3]) for family in _CHILD_FAMILIES
+    ]
+    assert [r for r in shared if r.passed] == [r for r in clean_alone if r.name not in _CHILD_FAMILIES]
+
+
+def test_a_child_that_dies_makes_the_cli_exit_1(growth_rate_exits_3, capsys):
+    code = main(["verify"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out.count(f"witness: {_CHILD_EXITED_3}") == len(_CHILD_FAMILIES)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_child_is_left_after_a_return():
+    verify.run_verification("quick")
+    _assert_no_child_left()
+
+
+def test_no_child_is_left_after_a_raise(monkeypatch):
+    # an interrupt in this process while the child is stuck in a check:
+    # the child is killed, not waited for
+    def interrupted(families):
+        raise KeyboardInterrupt
+
+    def stuck(n):
+        time.sleep(60)
+        os._exit(0)
+
+    monkeypatch.setattr(verify, "_sweep", interrupted)
+    monkeypatch.setattr(verify, "catalan", stuck)  # read by the child's first check
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_verification("quick")
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def _fork_refused():
+    raise OSError("fork refused")
+
+
+@pytest.mark.parametrize("fork", [None, _fork_refused], ids=["missing", "raises_oserror"])
+def test_without_fork_the_checks_run_here_with_the_same_results(monkeypatch, fork):
+    forked = verify.run_verification("quick")
+    if fork is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    assert verify.run_verification("quick") == forked
+
+
+@pytest.mark.parametrize("family", ["growth_function", "codec_roundtrip"])
+def test_a_wrapper_entry_runs_in_this_process(monkeypatch, clean_alone, family):
+    # functools.wraps copies __name__ and __module__: only identity tells
+    # a wrapper from the module's own check
+    check = getattr(verify, f"check_{family}")
+    calls = []
+
+    @functools.wraps(check)
+    def recorded(**sizes):
+        calls.append(os.getpid())
+        return check(**sizes)
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", tuple(recorded if c is check else c for c in verify.ALL_CHECKS))
+    assert verify.run_verification("quick") == clean_alone
+    assert calls == [os.getpid()]
