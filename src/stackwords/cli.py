@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .counting import (
     brute_force_count,
@@ -282,14 +283,7 @@ def _cmd_asymptote(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = run_verification(args.level)
     passed = all(r.passed for r in results)
-    payload = {
-        "level": args.level,
-        "passed": passed,
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail, "witnesses": r.witnesses}
-            for r in results
-        ],
-    }
+    payload = {"level": args.level, "passed": passed, "checks": [asdict(r) for r in results]}
     text = []
     for r in results:
         text.append(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

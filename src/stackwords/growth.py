@@ -13,7 +13,6 @@ value 0.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ _EDGE = 1e-9  # search interval is [_EDGE, 0.5 - _EDGE]
 # below a few of those, so a smaller tolerance would never stop the
 # search. 1e-15 keeps a margin.
 _MIN_TOLERANCE = 1e-15
-_UNIMODALITY_GRID = 10_000
 
 MAXIMIZER_METHODS = ("golden_section", "derivative_bisection")
 
@@ -111,23 +109,6 @@ class GrowthMaximum:
     tolerance: float
 
 
-@functools.cache
-def _assert_unimodal() -> None:
-    # One strict local maximum on a uniform grid of the open interval;
-    # anything else means the search below cannot be trusted. The scan
-    # depends on no argument, so it runs once per process; a failed scan
-    # raises and is not cached.
-    step = 0.5 / (_UNIMODALITY_GRID + 1)
-    values = [_log_growth_rate((i + 1) * step) for i in range(_UNIMODALITY_GRID)]
-    peaks = sum(
-        1
-        for i in range(1, _UNIMODALITY_GRID - 1)
-        if values[i - 1] < values[i] > values[i + 1]
-    )
-    if peaks != 1:
-        raise RuntimeError(f"expected one interior maximum on the scan grid, found {peaks}")
-
-
 def _golden_section(lo: float, hi: float, tolerance: float) -> tuple[float, int]:
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -167,7 +148,10 @@ def _derivative_bisection(lo: float, hi: float, tolerance: float) -> tuple[float
 def maximize_growth_rate(tolerance: float = 1e-10, method: str = "golden_section") -> GrowthMaximum:
     """
     Locate the maximum of growth_rate on (0, 1/2) to the given tolerance
-    in x. Derivative-free golden-section search is the default; the
+    in x. There is one: the closed-form slope of the log has the sign of
+    a strictly decreasing cubic, so growth_rate increases up to
+    critical_point() and decreases after it. Both searches rely on that.
+    Derivative-free golden-section search is the default; the
     derivative_bisection method, on the sign of the closed-form slope of
     the log, is an independent cross-check. Bisection lands within the
     tolerance of critical_point(). Golden section compares values of a
@@ -179,7 +163,6 @@ def maximize_growth_rate(tolerance: float = 1e-10, method: str = "golden_section
         raise ValueError(f"tolerance must be finite and at least {_MIN_TOLERANCE}, got {tolerance}")
     if method not in MAXIMIZER_METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {MAXIMIZER_METHODS}")
-    _assert_unimodal()
     lo, hi = _EDGE, 0.5 - _EDGE
     if method == "golden_section":
         x_star, iterations = _golden_section(lo, hi, tolerance)

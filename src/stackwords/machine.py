@@ -149,16 +149,14 @@ def run_series_machine(p: Sequence[int], stacks: int, record_steps: bool = False
     # Before each input entry x is pushed, make the other moves until it
     # fits on the first stack; after the last entry, until the output is
     # complete. n + 1 stands for the end of the input: it fits nowhere.
+    # Every push keeps its stack increasing from the top: a transfer is
+    # made only onto a larger top, and x (distinct from every entry) is
+    # pushed only once the first stack's top is not smaller.
     for x in p + (n + 1,):
         while first and first[-1] < x or x > n and len(out) < n:
             for code, source, target in transfers:
                 if source and (not target or source[-1] < target[-1]):
-                    moved = source.pop()
-                    if target and moved >= target[-1]:
-                        raise RuntimeError(
-                            f"internal error: stack order violated placing {moved} on {target[-1]}"
-                        )
-                    target.append(moved)
+                    target.append(source.pop())
                     record(code)
                     break
             else:
@@ -167,8 +165,6 @@ def run_series_machine(p: Sequence[int], stacks: int, record_steps: bool = False
                 out.append(last.pop())
                 record(t)
         if x <= n:
-            if first and x >= first[-1]:
-                raise RuntimeError(f"internal error: stack order violated placing {x} on {first[-1]}")
             first.append(x)
             record(0)
 

@@ -4,8 +4,9 @@ package checked against brute force at desk scale. Each check returns a
 result with concrete witnesses on failure. Each check takes its sizes
 as arguments; ``BOUNDS`` holds them per level. The ``quick`` level keeps
 exhaustive sweeps to n <= 6 (well under a second); ``full`` pushes them
-to n <= 9 where that matters (about 2 seconds on a 2-CPU machine with
-Python 3.11, up to 2.6 on a busy one, about 3.5 on one CPU).
+to n <= 9 where that matters (end to end on a 2-CPU machine with Python
+3.11.7: about 0.8 s when it is quiet, 1.5 s beside two CPU-bound
+processes, 1.4 s on a quiet one without ``os.fork``).
 ``run_verification`` runs the eight families that share one streaming
 sweep over every permutation of each n in its own process, and every
 other check at the same time in one forked child; each

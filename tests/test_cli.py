@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stackwords.cli as cli
 from stackwords.cli import MAX_PERMUTATION_LENGTH, main
 from stackwords.machine import encode
 
@@ -198,6 +199,17 @@ class TestCount:
         payload = json.loads(out)
         assert payload["upper_bound"] == 5**6
         assert payload["verdict"] == "CONSISTENT"
+
+    @pytest.mark.parametrize(
+        "name, t, verdict",
+        [("catalan", "1", "DISAGREE"), ("three_stack_bound", "3", "INCONSISTENT")],
+        ids=["formula", "bound"],
+    )
+    def test_a_failed_verdict_exits_1(self, capsys, monkeypatch, name, t, verdict):
+        monkeypatch.setattr(cli, name, lambda n: 0)
+        code, out, err = run(capsys, "count", "-n", "4", "-t", t, "--mode", "both")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == f"verdict: {verdict}"
 
     def test_enumeration_limit(self, capsys):
         code, _, err = run(capsys, "count", "-n", "11", "-t", "1", "--mode", "brute")

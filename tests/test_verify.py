@@ -54,9 +54,8 @@ def test_witness_lists_are_truncated(monkeypatch):
     assert result.witnesses[-1].endswith("more")
 
 
-# One wrong dependency per case, for every family that an acceptance
-# criterion or a unit test delegates to: each check must notice it and
-# report a witness.
+# One wrong dependency per case, for every family of verify: each check
+# must notice it and report a witness.
 _SABOTAGE = [
     ("catalan_oracle", "catalan", lambda n: -1),
     ("two_stack_oracle", "two_stack_count", lambda n: -1),
@@ -74,6 +73,10 @@ _SABOTAGE = [
     ("placement_membership", "enumerate_a_placements", lambda v, n: iter(())),
     ("growth_function", "critical_point", lambda: 0.25),
     ("growth_function", "_log_growth_slope", lambda x: 1.0),
+    ("permutation_statistics", "descent_count", lambda p: 0),
+    ("one_stack_word_count", "catalan", lambda n: -1),
+    ("sortability_structure", "contains_pattern", lambda p, q: True),
+    ("growth_bridge", "bound_nth_root", lambda n: 13.0),
     # the preimage engine: a fertility no image can have, then no images at all
     ("bound_inequalities", "image_fertilities", lambda n: iter([(tuple(range(1, n + 1)), 10**9)])),
     ("bound_inequalities", "image_fertilities", lambda n: iter(())),
@@ -90,6 +93,10 @@ def _case_ids(cases):
         repeats = ids.count(case_id)
         ids.append(case_id)
         yield f"{case_id}-{repeats + 1}" if repeats else case_id
+
+
+def test_every_family_has_a_sabotage_case():
+    assert {case[0] for case in _SABOTAGE} == {check.__name__.removeprefix("check_") for check in verify.ALL_CHECKS}
 
 
 @pytest.mark.parametrize("family, name, wrong", _SABOTAGE, ids=list(_case_ids(_SABOTAGE)))
@@ -249,35 +256,51 @@ _CHILD_FAMILIES = [
 ]
 
 
-@pytest.fixture
-def growth_rate_exits_3(monkeypatch):
+def _growth_rate_exits(monkeypatch, status):
     # growth_rate is read by growth_function and growth_bridge only
     test_process = os.getpid()
 
-    def exits_3(x):
+    def exits(x):
         assert os.getpid() != test_process, "a child-run check ran in this process"
-        os._exit(3)
+        os._exit(status)
 
-    monkeypatch.setattr(verify, "growth_rate", exits_3)
+    monkeypatch.setattr(verify, "growth_rate", exits)
 
 
-_CHILD_EXITED_3 = "ChildProcessError: the checking child process ended (exit status 3) without a complete result"
+@pytest.fixture
+def growth_rate_exits_3(monkeypatch):
+    _growth_rate_exits(monkeypatch, 3)
+
+
+def _child_exited(status):
+    return f"ChildProcessError: the checking child process ended (exit status {status}) without a complete result"
 
 
 def test_a_child_that_dies_fails_its_families_only(growth_rate_exits_3, clean_alone):
     shared = verify.run_verification("quick")
     failed = [r for r in shared if not r.passed]
     assert [(r.name, r.detail, r.witnesses) for r in failed] == [
-        (family, "the check raised an exception", [_CHILD_EXITED_3]) for family in _CHILD_FAMILIES
+        (family, "the check raised an exception", [_child_exited(3)]) for family in _CHILD_FAMILIES
     ]
     assert [r for r in shared if r.passed] == [r for r in clean_alone if r.name not in _CHILD_FAMILIES]
+
+
+def test_a_child_that_exits_0_without_a_result_fails_its_families(monkeypatch, capsys):
+    # status 0 but nothing on the pipe: the JSON does not parse
+    _growth_rate_exits(monkeypatch, 0)
+    code = main(["verify"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    failed = [line.split(":")[0].removeprefix("FAIL ") for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failed == _CHILD_FAMILIES
+    assert out.count(f"witness: {_child_exited(0)}") == len(_CHILD_FAMILIES)
 
 
 def test_a_child_that_dies_makes_the_cli_exit_1(growth_rate_exits_3, capsys):
     code = main(["verify"])
     out, err = capsys.readouterr()
     assert (code, err) == (1, "")
-    assert out.count(f"witness: {_CHILD_EXITED_3}") == len(_CHILD_FAMILIES)
+    assert out.count(f"witness: {_child_exited(3)}") == len(_CHILD_FAMILIES)
 
 
 def _assert_no_child_left():

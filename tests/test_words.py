@@ -87,6 +87,10 @@ class TestValidate:
     def test_empty_word_is_valid(self):
         assert validate_word("", 3).entries == 0
 
+    def test_alphabet_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match="alphabet 'ABC' does not have 2 letters"):
+            validate_word("AB", 1, alphabet="ABC")
+
     def test_shifted_alphabet(self):
         word = validate_word("BCBDCD", 2, alphabet="BCD")
         assert word.stacks == 2
@@ -257,6 +261,10 @@ class TestDecode:
         with pytest.raises(ValueError, match="pops an empty stack"):
             decode(StackWord("BACD", "ABCD"))
 
+    def test_entries_left_in_the_stacks(self):
+        with pytest.raises(ValueError, match="word leaves entries stranded in the stacks"):
+            decode(StackWord("AB", "ABC"))
+
     def test_degenerate_alphabets_rejected(self):
         with pytest.raises(ValueError):
             validate_word("AA", 0, alphabet="A")
@@ -352,6 +360,10 @@ class TestPlacements:
     def test_rejects_unprojected_words(self):
         with pytest.raises(ValueError):
             list(enumerate_a_placements(validate_word("AABB", 1), 2))
+
+    def test_no_entries(self):
+        with pytest.raises(ValueError, match="need at least one entry"):
+            list(enumerate_a_placements(StackWord("", "BCD"), 0))
 
     def test_length_mismatch(self):
         v = validate_word("BCBDCD", 2, alphabet="BCD")
