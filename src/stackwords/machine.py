@@ -53,25 +53,38 @@ def iterate_stack_sort(p: Sequence[int], times: int) -> Perm:
 def is_t_stack_sortable(p: Sequence[int], t: int) -> bool:
     """
     True iff t passes of stack_sort turn p into the identity. Stops early
-    once the identity appears (it is a fixed point).
+    once the identity appears (it is a fixed point). The last pass is
+    never built: it fails at the first entry that leaves the stack out of
+    turn, that is, anything but 1, 2, ..., n in order.
 
     >>> is_t_stack_sortable((2, 3, 1), 1), is_t_stack_sortable((2, 3, 1), 2)
     (False, True)
     """
     if t < 1:
         raise ValueError(f"pass count must be positive, got {t}")
-    return iterate_stack_sort(p, t) == tuple(range(1, len(p) + 1))
+    cur = iterate_stack_sort(p, t - 1) if t > 1 else p
+    stack: list[int] = []
+    want = 1  # the value the identity puts next
+    for x in cur:
+        while stack and stack[-1] < x:
+            if stack.pop() != want:
+                return False
+            want += 1
+        stack.append(x)
+    # the flush pops the rest top first: they must be n, ..., want bottom-up
+    return stack == list(range(len(cur), want - 1, -1))
 
 
 def min_sorting_passes(p: Sequence[int]) -> int:
     """
     The least t with iterate_stack_sort(p, t) equal to the identity;
-    always at most n-1.
+    always at most n-1. Raises ValueError unless p is a permutation of
+    1..n, for which no number of passes would do.
 
     >>> min_sorting_passes((2, 3, 4, 1))
     3
     """
-    cur = tuple(p)
+    cur = check_permutation(p)
     identity = tuple(range(1, len(cur) + 1))
     passes = 0
     while cur != identity:
@@ -115,6 +128,62 @@ class SeriesRun:
 _LETTER_OF_CODE = bytes.maketrans(bytes(range(len(MOVE_LETTERS))), MOVE_LETTERS.encode("ascii"))
 
 
+# The records below are built through their slot descriptors: the frozen
+# __init__ makes one object.__setattr__ call per field, which the replay
+# would pay at every move. The result is the same frozen instance (same
+# type, equality, hash and repr), and it still refuses assignment. The
+# setters are default arguments so that each call reads them as locals.
+def _stack_word(
+    letters: str,
+    alphabet: str,
+    _new=object.__new__,
+    _letters=StackWord.letters.__set__,
+    _alphabet=StackWord.alphabet.__set__,
+) -> StackWord:
+    word = _new(StackWord)
+    _letters(word, letters)
+    _alphabet(word, alphabet)
+    return word
+
+
+def _series_run(
+    word: StackWord,
+    output: Perm,
+    steps: tuple[MachineStep, ...] | None,
+    _new=object.__new__,
+    _word=SeriesRun.word.__set__,
+    _output=SeriesRun.output.__set__,
+    _steps=SeriesRun.steps.__set__,
+) -> SeriesRun:
+    run = _new(SeriesRun)
+    _word(run, word)
+    _output(run, output)
+    _steps(run, steps)
+    return run
+
+
+def _machine_step(
+    step: int,
+    letter: str,
+    value: int,
+    stacks: tuple[tuple[int, ...], ...],
+    output: tuple[int, ...],
+    _new=object.__new__,
+    _step=MachineStep.step.__set__,
+    _letter=MachineStep.letter.__set__,
+    _value=MachineStep.value.__set__,
+    _stacks=MachineStep.stacks.__set__,
+    _output=MachineStep.output.__set__,
+) -> MachineStep:
+    record = _new(MachineStep)
+    _step(record, step)
+    _letter(record, letter)
+    _value(record, value)
+    _stacks(record, stacks)
+    _output(record, output)
+    return record
+
+
 def run_series_machine(p: Sequence[int], stacks: int, record_steps: bool = False) -> SeriesRun:
     """
     Pass p through ``stacks`` stacks placed in series under the greedy
@@ -138,41 +207,53 @@ def run_series_machine(p: Sequence[int], stacks: int, record_steps: bool = False
     alphabet = default_alphabet(stacks)
     t = stacks
     n = len(p)
-    piles: list[list[int]] = [[] for _ in range(t)]
+    # Each pile stands on a sentinel n + 1, larger than every entry, so an
+    # empty pile is one whose top is n + 1: a top fits on the next pile iff
+    # it is smaller than that pile's top, and a sentinel never fits.
+    piles: list[list[int]] = [[n + 1] for _ in range(t)]
     first, last = piles[0], piles[t - 1]
     # (code, source, target) of each move from one stack to the next
     transfers = list(zip(range(1, t), piles, piles[1:]))
     out: list[int] = []
+    emit = out.append
     codes = bytearray()  # the letters as positions in the alphabet
     record = codes.append
 
     # Before each input entry x is pushed, make the other moves until it
     # fits on the first stack; after the last entry, until the output is
-    # complete. n + 1 stands for the end of the input: it fits nowhere.
-    # Every push keeps its stack increasing from the top: a transfer is
-    # made only onto a larger top, and x (distinct from every entry) is
-    # pushed only once the first stack's top is not smaller.
-    for x in p + (n + 1,):
-        while first and first[-1] < x or x > n and len(out) < n:
+    # complete. Every push keeps its stack increasing from the top: a
+    # transfer is made only onto a larger top, and x (distinct from every
+    # entry) is pushed only once the first stack's top is not smaller.
+    for x in p:
+        while first[-1] < x:
             for code, source, target in transfers:
-                if source and (not target or source[-1] < target[-1]):
+                if source[-1] < target[-1]:
                     target.append(source.pop())
                     record(code)
                     break
             else:
-                if not last:
-                    raise RuntimeError("internal error: no move available but output incomplete")
-                out.append(last.pop())
+                emit(last.pop())
                 record(t)
-        if x <= n:
-            first.append(x)
-            record(0)
+        first.append(x)
+        record(0)
+    # the same moves once the input is spent (repeated, not a call per move)
+    while len(out) < n:
+        for code, source, target in transfers:
+            if source[-1] < target[-1]:
+                target.append(source.pop())
+                record(code)
+                break
+        else:
+            emit(last.pop())
+            record(t)
 
     if len(codes) != (t + 1) * n:
         raise RuntimeError(f"internal error: trace length {len(codes)} != {(t + 1) * n}")
-    word = StackWord(codes.translate(_LETTER_OF_CODE).decode("ascii"), alphabet)
+    if piles != [[n + 1]] * t:  # an entry is left over, or a sentinel was emitted
+        raise RuntimeError("internal error: the piles do not end on their sentinels alone")
+    word = _stack_word(codes.translate(_LETTER_OF_CODE).decode("ascii"), alphabet)
     steps = _replay_steps(p, codes, alphabet) if record_steps else None
-    return SeriesRun(word=word, output=tuple(out), steps=steps)
+    return _series_run(word, tuple(out), steps)
 
 
 def _replay_steps(p: Perm, codes: bytes, alphabet: str) -> tuple[MachineStep, ...]:
@@ -201,7 +282,7 @@ def _replay_steps(p: Perm, codes: bytes, alphabet: str) -> tuple[MachineStep, ..
             shown[code] = target[-1]
         else:
             out += (moved,)
-        steps.append(MachineStep(step, alphabet[code], moved, tuple(shown), out))
+        steps.append(_machine_step(step, alphabet[code], moved, tuple(shown), out))
     return tuple(steps)
 
 

@@ -172,11 +172,20 @@ def forbidden_factor_violations(word: StackWord) -> list[tuple[str, int]]:
     return hits
 
 
+_UNKNOWN = 255  # the code of every byte that is not a letter
+
+
 @functools.lru_cache(maxsize=64)
-def _letter_codes(alphabet: str) -> tuple[dict[int, str], frozenset[str]]:
-    # a str.translate table taking each letter to the character whose
-    # code is the letter's position, and the set of letters
-    return {ord(ch): chr(i) for i, ch in enumerate(alphabet)}, frozenset(alphabet)
+def _letter_codes(alphabet: str) -> bytes | None:
+    # a bytes.translate table taking each letter, as its latin-1 byte, to
+    # its position and every other byte to _UNKNOWN; None if a letter is
+    # not latin-1 or there are too many letters for a position to fit
+    table = bytearray([_UNKNOWN]) * 256
+    for i, ch in enumerate(alphabet):
+        if i >= _UNKNOWN or ord(ch) > 255:
+            return None
+        table[ord(ch)] = i
+    return bytes(table)
 
 
 def decode(word: StackWord) -> tuple[int, ...]:
@@ -199,18 +208,22 @@ def decode(word: StackWord) -> tuple[int, ...]:
     t = word.stacks
     if t < 1:
         raise ValueError(f"cannot replay a word over the {len(word.alphabet)}-letter alphabet {word.alphabet!r}")
-    table, known = _letter_codes(word.alphabet)
-    if len(word.alphabet) <= 256 and known.issuperset(word.letters):
-        codes: bytes | tuple[int, ...] = word.letters.translate(table).encode("latin-1")
-    else:
-        codes = word.indices()  # names the first unknown letter
+    table = _letter_codes(word.alphabet)
+    codes: bytes | tuple[int, ...] | None = None
+    if table is not None:
+        try:
+            codes = word.letters.encode("latin-1").translate(table)
+        except UnicodeEncodeError:  # a letter that is not latin-1 is unknown
+            pass
+    if codes is None or _UNKNOWN in codes:
+        codes = word.indices()  # names the first unknown letter, or maps an alphabet with no table
     stacks: list[list[int]] = [[] for _ in range(t)]
     first, last = stacks[0], stacks[t - 1]
     value_of = [0] * codes.count(0)  # by token, in input order
     next_token = 0
     emitted = 0
     try:
-        for at, i in enumerate(codes, start=1):
+        for i in codes:
             if i == 0:
                 first.append(next_token)
                 next_token += 1
@@ -220,10 +233,26 @@ def decode(word: StackWord) -> tuple[int, ...]:
             else:
                 stacks[i].append(stacks[i - 1].pop())
     except IndexError:
+        at = _first_empty_pop(codes, t)
         raise ValueError(f"letter {word.letters[at - 1]!r} at position {at} pops an empty stack") from None
-    if any(stacks) or next_token != emitted:
+    if any(stacks):
         raise ValueError("word leaves entries stranded in the stacks")
     return tuple(value_of)
+
+
+def _first_empty_pop(codes: bytes | tuple[int, ...], t: int) -> int:
+    # The 1-based position of the first move that pops an empty stack,
+    # found by counting the stack heights again; only an error message
+    # needs it, so the replay in decode does not track positions.
+    heights = [0] * (t + 1)  # the input (index 0) is never popped
+    for at, i in enumerate(codes, start=1):
+        if i:
+            if not heights[i]:
+                return at
+            heights[i] -= 1
+        if i < t:
+            heights[i + 1] += 1
+    raise AssertionError("no move pops an empty stack")
 
 
 def image_word(word: StackWord) -> StackWord:

@@ -1,14 +1,17 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stackwords.machine as machine_module
 from stackwords import verify
 from stackwords.counting import image_fertilities
 from stackwords.machine import (
     MachineStep,
+    SeriesRun,
     encode,
     is_genuine_word,
     is_t_stack_sortable,
@@ -96,6 +99,27 @@ class TestSortability:
     def test_min_sorting_passes(self, p, expected):
         assert min_sorting_passes(p) == expected
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [((1, 1), "duplicate value 1"), ((0,), "value 0 out of range 1..1"), ((1, 3), "value 3 out of range 1..2")],
+    )
+    def test_min_sorting_passes_refuses_a_non_permutation(self, p, message, monkeypatch):
+        # no number of passes sorts these; a spy stops the pass loop
+        # instead of letting it run forever
+        passes = []
+
+        def counted(q):
+            passes.append(q)
+            if len(passes) > 100:
+                raise AssertionError(f"still sorting {p} after 100 passes")
+            return stack_sort(q)
+
+        monkeypatch.setattr(machine_module, "stack_sort", counted)
+        with pytest.raises(ValueError) as caught:
+            min_sorting_passes(p)
+        assert str(caught.value) == message
+        assert passes == []
+
     @given(perms(max_n=7))
     def test_min_passes_at_most_n_minus_1(self, p):
         passes = min_sorting_passes(p)
@@ -180,6 +204,80 @@ def replayed_steps(p, letters, alphabet):
         yield letter, moved, [pile[::-1] for pile in piles], list(out)
 
 
+def reference_series_machine(p, t):
+    """
+    The greedy machine as a scan over the transfers on plain piles: push
+    while the entry fits, else move the top of the lowest stack that fits
+    on the next one, else emit. Returns the letters, the output and, for
+    each move, (letter, value, stacks top-first, output).
+    """
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXY"[: t + 1]
+    n = len(p)
+    piles = [[] for _ in range(t)]
+    first, last = piles[0], piles[t - 1]
+    out, letters, steps = [], [], []
+    shown = [()] * t  # each pile top-first, sliced again after each move that touches it
+
+    def move(code, value):
+        for i in (code - 1, code):
+            if 0 <= i < t:
+                shown[i] = tuple(piles[i][::-1])
+        letters.append(alphabet[code])
+        steps.append((alphabet[code], value, tuple(shown), tuple(out)))
+
+    for x in tuple(p) + (n + 1,):  # n + 1 ends the input: it fits nowhere
+        while first and first[-1] < x or x > n and len(out) < n:
+            for code in range(1, t):
+                source, target = piles[code - 1], piles[code]
+                if source and (not target or source[-1] < target[-1]):
+                    target.append(source.pop())
+                    move(code, target[-1])
+                    break
+            else:
+                out.append(last.pop())
+                move(t, out[-1])
+        if x <= n:
+            first.append(x)
+            move(0, x)
+    return "".join(letters), tuple(out), steps
+
+
+def assert_matches_reference(p, t):
+    run = run_series_machine(p, t, record_steps=True)
+    letters, output, steps = reference_series_machine(p, t)
+    assert run.word.letters == letters, (p, t)
+    assert run.output == output, (p, t)
+    assert [(s.letter, s.value, s.stacks, s.output) for s in run.steps] == steps, (p, t)
+    assert [s.step for s in run.steps] == list(range(1, len(steps) + 1))
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    def test_series_machine_exhaustively(self, t):
+        for n in range(8):
+            for p in itertools.permutations(range(1, n + 1)):
+                assert_matches_reference(p, t)
+
+    def test_series_machine_at_length_60(self):
+        rng = random.Random(60)
+        for i in range(200):
+            p = tuple(rng.sample(range(1, 61), 60))
+            assert_matches_reference(p, 1 + i % 24)  # every stack count, about eight times each
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_sortability_exhaustively(self, t):
+        for n in range(9):
+            identity = tuple(range(1, n + 1))
+            for p in itertools.permutations(identity):
+                assert is_t_stack_sortable(p, t) == (iterate_stack_sort(p, t) == identity), (p, t)
+
+    @pytest.mark.parametrize("p", [(), (1, 1), (3, 3, 1), (2, 2, 1), (5, 3)])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_sortability_of_non_permutations(self, p, t):
+        # not validated: the answer is still whether t passes give 1..n
+        assert is_t_stack_sortable(p, t) == (iterate_stack_sort(p, t) == tuple(range(1, len(p) + 1)))
+
+
 class TestStepRecords:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_steps_match_an_independent_replay(self, t):
@@ -221,6 +319,26 @@ class TestStepRecords:
         assert step.value == 1  # the original is untouched
         with pytest.raises(dataclasses.FrozenInstanceError):
             step.value = 3
+
+    def test_records_are_those_of_their_constructors(self):
+        run = run_series_machine((3, 6, 1, 5, 8, 2, 7, 4), 4, record_steps=True)
+        built = SeriesRun(word=StackWord(run.word.letters, run.word.alphabet), output=run.output, steps=run.steps)
+        pairs = [(run, built), (run.word, built.word)]
+        pairs += [(s, MachineStep(s.step, s.letter, s.value, s.stacks, s.output)) for s in run.steps]
+        for record, made in pairs:
+            assert type(record) is type(made)
+            assert record == made and hash(record) == hash(made) and repr(record) == repr(made)
+            assert not hasattr(record, "__dict__")
+            field = dataclasses.fields(record)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, None)
+            assert dataclasses.replace(record) == record
+
+    def test_untraced_run_is_that_of_its_constructor(self):
+        run = run_series_machine((2, 3, 1), 2)
+        assert type(run) is SeriesRun and type(run.word) is StackWord
+        assert run == SeriesRun(StackWord("ABAABCCBC", "ABC"), (1, 2, 3))
+        assert repr(run) == repr(SeriesRun(StackWord("ABAABCCBC", "ABC"), (1, 2, 3)))
 
 
 class TestEncode:

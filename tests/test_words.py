@@ -247,11 +247,29 @@ class TestDecode:
             ("AABCBDC\x03", "ABCD", "unknown letter '\\x03' at position 8"),
             ("ABCDé", "ABCD", "unknown letter 'é' at position 5"),
             ("AB\u0101", "AB", "unknown letter 'ā' at position 3"),
+            ("A\xffB", "AB", "unknown letter 'ÿ' at position 2"),
         ],
     )
     def test_letter_outside_alphabet_is_never_mapped(self, letters, alphabet, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             decode(StackWord(letters, alphabet))
+
+    @pytest.mark.parametrize("alphabet", ["\xffBCD", "A\xffCD", "αβγδ", "A\u0101CD"])
+    def test_any_alphabet_decodes_as_the_standard_one(self, alphabet):
+        # "\xff" is the byte that marks a non-letter in the translate table;
+        # letters that are not latin-1 are mapped by StackWord.indices
+        rename = str.maketrans("ABCD", alphabet)
+        for p in itertools.permutations(range(1, 6)):
+            word = encode(p, 3)
+            assert decode(StackWord(word.letters.translate(rename), alphabet)) == decode(word)
+
+    @pytest.mark.parametrize("codes", [range(256), range(0x100, 0x400)])
+    def test_alphabets_too_long_for_a_byte_table(self, codes):
+        alphabet = "".join(map(chr, codes))
+        assert decode(StackWord(alphabet, alphabet)) == (1,)
+        with pytest.raises(ValueError) as caught:
+            decode(StackWord(alphabet[1] + alphabet, alphabet))
+        assert str(caught.value) == f"letter {alphabet[1]!r} at position 1 pops an empty stack"
 
     def test_unknown_letter_is_named_before_an_empty_pop(self):
         with pytest.raises(ValueError, match="unknown letter 'X' at position 5"):
@@ -264,6 +282,37 @@ class TestDecode:
     def test_entries_left_in_the_stacks(self):
         with pytest.raises(ValueError, match="word leaves entries stranded in the stacks"):
             decode(StackWord("AB", "ABC"))
+
+    @pytest.mark.parametrize(
+        "alphabet, letters, message",
+        [
+            # the first, a middle or the last letter pops an empty stack
+            ("AB", "BA", "letter 'B' at position 1 pops an empty stack"),
+            ("AB", "ABBA", "letter 'B' at position 3 pops an empty stack"),
+            ("AB", "AABBB", "letter 'B' at position 5 pops an empty stack"),
+            ("ABC", "CABC", "letter 'C' at position 1 pops an empty stack"),
+            ("ABC", "BABC", "letter 'B' at position 1 pops an empty stack"),
+            ("ABC", "ABCCAB", "letter 'C' at position 4 pops an empty stack"),
+            ("ABC", "ABBCAC", "letter 'B' at position 3 pops an empty stack"),
+            ("ABC", "AABCBCC", "letter 'C' at position 7 pops an empty stack"),
+            ("ABCD", "DABCD", "letter 'D' at position 1 pops an empty stack"),
+            ("ABCD", "CABD", "letter 'C' at position 1 pops an empty stack"),
+            ("ABCD", "ABCDDABCD", "letter 'D' at position 5 pops an empty stack"),
+            ("ABCD", "ABCCDABD", "letter 'C' at position 4 pops an empty stack"),
+            ("ABCD", "AABCBDCDD", "letter 'D' at position 9 pops an empty stack"),
+            ("BCDE", "CBDE", "letter 'C' at position 1 pops an empty stack"),
+            ("BCD", "BCDD", "letter 'D' at position 4 pops an empty stack"),
+            # entries left in a stack
+            ("AB", "AAB", "word leaves entries stranded in the stacks"),
+            ("ABC", "AABC", "word leaves entries stranded in the stacks"),
+            ("ABCD", "ABC", "word leaves entries stranded in the stacks"),
+            ("ABCD", "AABCBCD", "word leaves entries stranded in the stacks"),
+        ],
+    )
+    def test_error_messages(self, alphabet, letters, message):
+        with pytest.raises(ValueError) as caught:
+            decode(StackWord(letters, alphabet))
+        assert str(caught.value) == message
 
     def test_degenerate_alphabets_rejected(self):
         with pytest.raises(ValueError):
