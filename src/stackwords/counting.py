@@ -145,8 +145,7 @@ def trivial_bound(n: int, t: int) -> int:
 def image_tally(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Counter[Perm]:
     """
     How many of the n! permutations of length n stack_sort sends to each
-    image: the one sweep behind both brute-force counters below, which
-    take it as ``images`` when several counts share one n.
+    image: the one sweep behind each brute-force counter below.
 
     >>> image_tally(2) == {(1, 2): 2}
     True
@@ -154,46 +153,56 @@ def image_tally(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Counter[Perm]
     return Counter(map(stack_sort, all_permutations(n, limit)))
 
 
-def brute_force_count(
-    n: int, t: int, limit: int = DEFAULT_ENUMERATION_LIMIT, *, images: Counter[Perm] | None = None
-) -> int:
+def brute_force_count(n: int, t: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
     """
     Count t-stack sortable permutations of length n by enumerating all n!
     of them. The independent oracle for every formula above.
 
     Each permutation is sorted once; p is t-stack sortable iff its image
     is (t-1)-stack sortable, so only the at most (n-1)! distinct images
-    are tested further, each weighted by how many p share it. Pass
-    ``images=image_tally(n)`` to reuse a sweep already made.
+    are tested further, each weighted by how many p share it.
     """
     all_permutations(n, limit)  # rejects a bad n before a bad t
     if t < 1:
         raise ValueError(f"pass count must be positive, got {t}")
-    if images is None:
-        images = image_tally(n, limit)
+    images = image_tally(n, limit)
     if t == 1:
         return images[tuple(range(1, n + 1))]
     return sum(count for q, count in images.items() if is_t_stack_sortable(q, t - 1))
 
 
-def brute_force_image_descent_counts(
-    n: int, limit: int = DEFAULT_ENUMERATION_LIMIT, *, images: Counter[Perm] | None = None
-) -> dict[int, int]:
+def brute_force_image_descent_counts(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> dict[int, int]:
     """
     For 3-stack sortable p of length n, tally how many descents the
     once-sorted image stack_sort(p) has. Keys are descent counts with a
-    nonzero tally; the tallies sum to brute_force_count(n, 3). Pass
-    ``images=image_tally(n)`` to reuse a sweep already made.
+    nonzero tally; the tallies sum to brute_force_count(n, 3).
     """
-    if images is None:
-        images = image_tally(n, limit)
     counts: dict[int, int] = {}
-    for q, count in images.items():
+    for q, count in image_tally(n, limit).items():
         # p is 3-stack sortable iff its image is 2-stack sortable
         if is_t_stack_sortable(q, 2):
             d = descent_count(q)
             counts[d] = counts.get(d, 0) + count
     return counts
+
+
+def _west_splits(q: Perm) -> Iterator[tuple[Perm, Perm]]:
+    # the splits q = L + R + (m,) of West's decomposition (see
+    # stack_sort_preimages) whose halves can be images: none unless q ends
+    # in its maximum m, and then those whose L and R each end in their own
+    # maximum (an empty half does). The entries need only be distinct, so
+    # L's running maximum starts at q[0], not at 0.
+    if not q or q[-1] != max(q):
+        return
+    body, top = q[:-1], q[0]
+    for i in range(len(q)):
+        if i:
+            if body[i - 1] < top:
+                continue  # the left half does not end in its maximum
+            top = body[i - 1]
+        right = body[i:]
+        if not right or right[-1] == max(right):
+            yield body[:i], right
 
 
 def stack_sort_preimages(q: Sequence[int]) -> Iterator[Perm]:
@@ -217,15 +226,12 @@ def stack_sort_preimages(q: Sequence[int]) -> Iterator[Perm]:
     if not q:
         yield ()
         return
-    m = q[-1]
-    if m != max(q):
-        return
-    for i in range(len(q)):
-        rights = list(stack_sort_preimages(q[i:-1]))
+    for left_image, right_image in _west_splits(q):
+        rights = list(stack_sort_preimages(right_image))
         if rights:
-            for left in stack_sort_preimages(q[:i]):
+            for left in stack_sort_preimages(left_image):
                 for right in rights:
-                    yield left + (m,) + right
+                    yield left + (q[-1],) + right
 
 
 def _standardise(pattern: Sequence[int]) -> Perm:
@@ -255,27 +261,16 @@ def image_fertilities(n: int) -> Iterator[tuple[Perm, int]]:
     memo: dict[Perm, int] = {}
 
     def fertility(q: Perm) -> int:
-        size = len(q)
-        if size <= 1:
+        if len(q) <= 1:
             return 1
-        if q[-1] != size:
-            return 0
         if q in memo:
             return memo[q]
-        body = q[:-1]
-        total = top = 0
-        for i in range(size):
-            if i:
-                if body[i - 1] < top:
-                    continue  # the left half does not end in its maximum
-                top = body[i - 1]
-            right = body[i:]
-            if right and right[-1] != max(right):
-                continue
-            left_count = fertility(_standardise(body[:i]))
+        total = 0
+        for left, right in _west_splits(q):
+            left_count = fertility(_standardise(left))
             if left_count:
                 total += left_count * fertility(_standardise(right))
-        if size < n:
+        if len(q) < n:
             memo[q] = total
         return total
 

@@ -239,11 +239,6 @@ class TestBruteForce:
         images = image_tally(n)
         assert sum(images.values()) == math.factorial(n)
         assert images == Counter(stack_sort(p) for p in all_permutations(n))
-        for t in range(1, 5):
-            assert brute_force_count(n, t, images=images) == brute_force_count(n, t), (n, t)
-        shared = brute_force_image_descent_counts(n, images=images)
-        own = brute_force_image_descent_counts(n)
-        assert list(shared.items()) == list(own.items())
 
 
 class TestPreimageEngine:
@@ -271,9 +266,46 @@ class TestPreimageEngine:
                 # a generating tree that inserts the maximum finds only 90
                 assert counts[1] == 91
 
+    @pytest.mark.parametrize("start", [-3, 101])
+    def test_preimages_of_entries_not_1_to_n(self, start):
+        # distinct entries need not be 1..n: the preimages of a shifted q
+        # are the brute-force inverse image shifted, listed in the order
+        # that q's own preimages come in
+        def shift(p):
+            return tuple(v + start - 1 for v in p)
+
+        for n in range(7):
+            by_image = {}
+            for p in all_permutations(n):
+                by_image.setdefault(stack_sort(p), []).append(p)
+            for q in all_permutations(n):
+                listed = list(stack_sort_preimages(shift(q)))
+                assert sorted(listed) == [shift(p) for p in by_image.get(q, [])], q
+                assert listed == [shift(p) for p in stack_sort_preimages(q)], q
+
+    def test_west_splits_are_the_filtered_split_points(self):
+        def ends_in_max(half):
+            return not half or half[-1] == max(half)
+
+        for n in range(8):
+            for q in all_permutations(n):
+                expected = []
+                if q and q[-1] == max(q):
+                    expected = [(q[:i], q[i:-1]) for i in range(n) if ends_in_max(q[:i]) and ends_in_max(q[i:-1])]
+                assert list(counting._west_splits(q)) == expected, q
+
+    def test_west_splits_need_q_to_end_in_its_maximum(self):
+        assert list(counting._west_splits((2, 3, 1))) == []
+        assert list(counting._west_splits((-1, -2))) == []
+        assert list(counting._west_splits(())) == []
+        assert list(counting._west_splits((-4,))) == [((), ())]
+        # a running maximum started at 0 would drop the last two
+        assert list(counting._west_splits((-3, -2, -1))) == [((), (-3, -2)), ((-3,), (-2,)), ((-3, -2), ())]
+
     def test_fertilities_are_those_of_the_preimage_lists(self):
-        for q, fertility in image_fertilities(6):
-            assert fertility == sum(1 for _ in stack_sort_preimages(q)), q
+        for n in (6, 7):
+            for q, fertility in image_fertilities(n):
+                assert fertility == sum(1 for _ in stack_sort_preimages(q)), q
 
     def test_memo_is_local_to_one_call(self):
         names = set(vars(counting))
