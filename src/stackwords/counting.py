@@ -171,14 +171,14 @@ def brute_force_count(n: int, t: int, limit: int = DEFAULT_ENUMERATION_LIMIT) ->
     return sum(count for q, count in images.items() if is_t_stack_sortable(q, t - 1))
 
 
-def brute_force_image_descent_counts(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> dict[int, int]:
+def brute_force_image_descent_counts(n: int) -> dict[int, int]:
     """
     For 3-stack sortable p of length n, tally how many descents the
     once-sorted image stack_sort(p) has. Keys are descent counts with a
     nonzero tally; the tallies sum to brute_force_count(n, 3).
     """
     counts: dict[int, int] = {}
-    for q, count in image_tally(n, limit).items():
+    for q, count in image_tally(n).items():
         # p is 3-stack sortable iff its image is 2-stack sortable
         if is_t_stack_sortable(q, 2):
             d = descent_count(q)

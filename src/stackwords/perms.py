@@ -50,6 +50,7 @@ def parse_permutation(text: str) -> Perm:
     """
     Parse one-line notation: a comma- or whitespace-separated list of
     integers, or a compact digit string (one digit per value, n <= 9).
+    No entry may be empty: each comma stands between two entries.
 
     >>> parse_permutation("2,3,1")
     (2, 3, 1)
@@ -62,6 +63,8 @@ def parse_permutation(text: str) -> Perm:
     if not text:
         return ()
     if "," in text or any(ch.isspace() for ch in text):
+        if not all(entry.strip() for entry in text.split(",")):
+            raise ValueError(f"empty entry in permutation {text!r}")
         tokens = text.replace(",", " ").split()
     elif len(text) > 1:
         tokens = list(text)  # compact digit form

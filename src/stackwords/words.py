@@ -71,6 +71,23 @@ class StackWord:
         return self.letters
 
 
+def _ballot_scan(letters: str, alphabet: str) -> tuple[list[int], int]:
+    # One pass over the word: the count of each letter of the alphabet, and
+    # the 1-based position of the first letter that is not in the alphabet
+    # or that outnumbers the letter before it, which is the move that pops
+    # an empty stack (0 if there is none; the counts stop at that letter).
+    pos = {ch: i for i, ch in enumerate(alphabet)}
+    counts = [0] * len(alphabet)
+    for at, ch in enumerate(letters, start=1):
+        i = pos.get(ch)
+        if i is None:
+            return counts, at
+        counts[i] += 1
+        if i and counts[i] > counts[i - 1]:
+            return counts, at
+    return counts, 0
+
+
 def validate_word(text: str, stacks: int, alphabet: str | None = None) -> StackWord:
     """
     Parse and validate a stack word: known letters only, equal letter
@@ -88,18 +105,16 @@ def validate_word(text: str, stacks: int, alphabet: str | None = None) -> StackW
         alphabet = standard
     if len(alphabet) != stacks + 1:
         raise ValueError(f"alphabet {alphabet!r} does not have {stacks + 1} letters")
-    pos = {ch: i for i, ch in enumerate(alphabet)}
-    counts = [0] * len(alphabet)
-    for at, ch in enumerate(text, start=1):
-        i = pos.get(ch)
-        if i is None:
+    counts, at = _ballot_scan(text, alphabet)
+    if at:
+        ch = text[at - 1]
+        if ch not in alphabet:
             raise ValueError(f"unknown letter {ch!r} at position {at}")
-        counts[i] += 1
-        if i > 0 and counts[i] > counts[i - 1]:
-            raise ValueError(
-                f"ballot condition violated at position {at}: prefix {text[:at]!r} "
-                f"has more {ch!r} than {alphabet[i - 1]!r}"
-            )
+        # rindex: a repeated letter stands at its last place, as in the scan
+        raise ValueError(
+            f"ballot condition violated at position {at}: prefix {text[:at]!r} "
+            f"has more {ch!r} than {alphabet[alphabet.rindex(ch) - 1]!r}"
+        )
     if len(set(counts)) > 1:
         named = ", ".join(f"{ch}:{c}" for ch, c in zip(alphabet, counts))
         raise ValueError(f"unequal letter counts ({named})")
@@ -232,27 +247,12 @@ def decode(word: StackWord) -> tuple[int, ...]:
                 value_of[last.pop()] = emitted
             else:
                 stacks[i].append(stacks[i - 1].pop())
-    except IndexError:
-        at = _first_empty_pop(codes, t)
+    except IndexError:  # every letter is known here, so the scan stops at the empty pop
+        at = _ballot_scan(word.letters, word.alphabet)[1]
         raise ValueError(f"letter {word.letters[at - 1]!r} at position {at} pops an empty stack") from None
     if any(stacks):
         raise ValueError("word leaves entries stranded in the stacks")
     return tuple(value_of)
-
-
-def _first_empty_pop(codes: bytes | tuple[int, ...], t: int) -> int:
-    # The 1-based position of the first move that pops an empty stack,
-    # found by counting the stack heights again; only an error message
-    # needs it, so the replay in decode does not track positions.
-    heights = [0] * (t + 1)  # the input (index 0) is never popped
-    for at, i in enumerate(codes, start=1):
-        if i:
-            if not heights[i]:
-                return at
-            heights[i] -= 1
-        if i < t:
-            heights[i + 1] += 1
-    raise AssertionError("no move pops an empty stack")
 
 
 def image_word(word: StackWord) -> StackWord:
@@ -302,21 +302,14 @@ def enumerate_a_placements(v: StackWord, entries: int) -> Iterator[StackWord]:
     if entries < 1:
         raise ValueError("need at least one entry")
 
-    b_positions = [i for i, ch in enumerate(v.letters) if ch == "B"]
-    forced = [1] + [2 if v.letters[b + 1] == "B" else 0 for b in b_positions[:-1]]
+    # v = B s1 B s2 ... B sn: the slots stand before the first B and right
+    # after each B but the last, and an empty si is a BB factor
+    *inner, last = v.letters.split("B")[1:]
+    forced = [1] + [0 if s else 2 for s in inner]
     free = entries - sum(forced)
     if free < 0:
-        raise ValueError(
-            f"{count_factor(v, 'BB')} BB factors force {sum(forced)} A's, more than the {entries} available"
-        )
+        raise ValueError(f"{inner.count('')} BB factors force {sum(forced)} A's, more than the {entries} available")
 
-    slot_after = {b: slot for slot, b in enumerate(b_positions[:-1], start=1)}
+    heads = ["B"] + [s + "B" for s in inner]  # what follows the A's of each slot
     for occupancy in _compositions(free, entries):
-        parts = ["A" * (forced[0] + occupancy[0])]
-        for i, ch in enumerate(v.letters):
-            parts.append(ch)
-            slot = slot_after.get(i)
-            if slot is not None:
-                parts.append("A" * (forced[slot] + occupancy[slot]))
-        yield StackWord("".join(parts), "ABCD")
-
+        yield StackWord("".join(["A" * (f + o) + h for f, o, h in zip(forced, occupancy, heads)]) + last, "ABCD")

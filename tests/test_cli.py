@@ -65,6 +65,12 @@ class TestSort:
         assert code == 2
         assert "duplicate value 2" in err
 
+    def test_empty_entry_exits_2(self, capsys):
+        code, out, err = run(capsys, "sort", "1,,2")
+        assert code == 2
+        assert out == ""
+        assert "empty entry in permutation '1,,2'" in err
+
 
 class TestWord:
     def test_encode(self, capsys):

@@ -199,6 +199,13 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="exceeds enumeration limit"):
             brute_force_count(11, 1)
 
+    def test_image_descent_tallies_keep_the_default_guard(self):
+        # the counter takes n only, so the default enumeration limit holds
+        with pytest.raises(ValueError, match="exceeds enumeration limit"):
+            brute_force_image_descent_counts(11)
+        with pytest.raises(TypeError):
+            brute_force_image_descent_counts(5, limit=20)
+
     def test_image_descent_tallies(self):
         assert brute_force_image_descent_counts(1) == {0: 1}
         assert brute_force_image_descent_counts(2) == {0: 2}

@@ -35,6 +35,7 @@ class TestParse:
             ("1", (1,)),
             ("", ()),
             ("10,9,8,7,6,5,4,3,2,1", (10, 9, 8, 7, 6, 5, 4, 3, 2, 1)),
+            ("1 2,3", (1, 2, 3)),
         ],
     )
     def test_valid(self, text, expected):
@@ -51,6 +52,12 @@ class TestParse:
     def test_malformed_token(self):
         with pytest.raises(ValueError, match="malformed token"):
             parse_permutation("1,x,2")
+
+    @pytest.mark.parametrize("text", ["1,,2", ",2,1", "2,1,", "1, ,2", ",", " , 1"])
+    def test_empty_entry_rejected(self, text):
+        with pytest.raises(ValueError) as caught:
+            parse_permutation(text)
+        assert str(caught.value) == f"empty entry in permutation {text.strip()!r}"
 
     def test_zero_invalid_in_digit_form(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -39,6 +39,47 @@ def recursive_compositions(total, parts):
             yield (head,) + rest
 
 
+def slot_walk_placements(v, entries):
+    # the A-placements as first written: each slot's A's go in on a walk
+    # over every letter of v, right after the B that opens the slot
+    b_positions = [i for i, ch in enumerate(v.letters) if ch == "B"]
+    forced = [1] + [2 if v.letters[b + 1] == "B" else 0 for b in b_positions[:-1]]
+    slot_after = {b: slot for slot, b in enumerate(b_positions[:-1], start=1)}
+    for occupancy in recursive_compositions(entries - sum(forced), entries):
+        parts = ["A" * (forced[0] + occupancy[0])]
+        for i, ch in enumerate(v.letters):
+            parts.append(ch)
+            slot = slot_after.get(i)
+            if slot is not None:
+                parts.append("A" * (forced[slot] + occupancy[slot]))
+        yield StackWord("".join(parts), "ABCD")
+
+
+def image_projections(top):
+    # (n, v) for the image q of every 3-stack sortable p with n <= top: v is
+    # q's 2-stack word shifted to BCD, the projection of p's trace
+    shift = str.maketrans("ABC", "BCD")
+    return [
+        (n, StackWord(encode(q, 2).letters.translate(shift), "BCD"))
+        for n in range(1, top + 1)
+        for q, _ in image_fertilities(n)
+    ]
+
+
+BALLOT_MESSAGE = r"ballot condition violated at position (\d+): .*"
+EMPTY_POP_MESSAGE = r"letter '.' at position (\d+) pops an empty stack"
+
+
+def first_position(pattern, f, *args):
+    # the position that the message of f's ValueError gives, if it matches
+    try:
+        f(*args)
+    except ValueError as exc:
+        m = re.fullmatch(pattern, str(exc))
+        return m and int(m.group(1))
+    return None
+
+
 # one instance of each forbidden factor, CB A^j C with j = 0, 1, 2
 FORBIDDEN_INSTANCES = ("BB", "CC", "BAB", "CBC", "CBAC", "CBAAC", "DA", "DB", "CA")
 
@@ -320,6 +361,17 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(StackWord("AA", "A"))
 
+    @pytest.mark.parametrize("alphabet, top", [("ABCD", 7), ("BCD", 8)])
+    def test_empty_pop_is_the_first_ballot_violation(self, alphabet, top):
+        # over its own letters, a word pops an empty stack at position k
+        # exactly when its prefix of length k breaks the ballot condition
+        stacks = len(alphabet) - 1
+        for size in range(top + 1):
+            for letters in map("".join, itertools.product(alphabet, repeat=size)):
+                ballot = first_position(BALLOT_MESSAGE, validate_word, letters, stacks, alphabet)
+                pop = first_position(EMPTY_POP_MESSAGE, decode, StackWord(letters, alphabet))
+                assert ballot == pop, letters
+
     def test_decodes_projection_to_sorted_image(self):
         # the projected word is a 2-stack word over BCD; replaying it
         # recovers the once-sorted image
@@ -388,15 +440,18 @@ class TestPlacements:
         # the projection of every 3-stack sortable p with n <= 8 (the 2-stack
         # word of its image, over BCD) streams the same candidates, in the
         # same order, as with recursive compositions
-        shift = str.maketrans("ABC", "BCD")
-        projections = [
-            (n, StackWord(encode(q, 2).letters.translate(shift), "BCD"))
-            for n in range(1, 9)
-            for q, _ in image_fertilities(n)
-        ]
+        projections = image_projections(8)
         streams = [[w.letters for w in enumerate_a_placements(v, n)] for n, v in projections]
         monkeypatch.setattr(words_module, "_compositions", recursive_compositions)
         assert streams == [[w.letters for w in enumerate_a_placements(v, n)] for n, v in projections]
+
+    def test_streams_match_the_slot_walk(self):
+        # the candidates built from v's B-segments are those of a walk over
+        # every letter of v, in the same order, for every projection with n <= 8
+        for n, v in image_projections(8):
+            assert [w.letters for w in enumerate_a_placements(v, n)] == [
+                w.letters for w in slot_walk_placements(v, n)
+            ], (n, v.letters)
 
     def test_many_entries_do_not_recurse(self):
         # the compositions come from stars and bars, not one call per entry
