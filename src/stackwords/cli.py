@@ -200,46 +200,33 @@ def _cmd_count(args: argparse.Namespace) -> int:
     n, t, mode = args.length, args.stacks, args.mode
     payload: dict = {"n": n, "t": t, "mode": mode}
     text: list[str] = []
-    exit_code = EXIT_OK
 
-    if mode in ("brute", "both") and n > args.enumeration_limit:
+    if mode != "formula" and n > args.enumeration_limit:
         raise ValueError(f"n={n} exceeds enumeration limit {args.enumeration_limit}")
 
-    formula_value: int | None = None
-    bound_value: int | None = None
-    if mode in ("formula", "both"):
+    if mode != "brute":
         _check_digit_cap(n, t)
-        if t == 1:
-            formula_value = catalan(n)
-        elif t == 2:
-            formula_value = two_stack_count(n)
+        if t == 1 or t == 2:
+            formula = payload["formula"] = catalan(n) if t == 1 else two_stack_count(n)
+            text.append(f"formula count: {formula}")
         else:
-            bound_value = three_stack_bound(n) if t == 3 else trivial_bound(n, t)
-            payload["upper_bound"] = bound_value
+            bound = payload["upper_bound"] = three_stack_bound(n) if t == 3 else trivial_bound(n, t)
             payload["warning"] = f"no closed formula for t = {t}; reporting an upper bound, not a count"
-            text.append(f"upper bound: {bound_value}   (no closed formula for t = {t})")
-        if formula_value is not None:
-            payload["formula"] = formula_value
-            text.append(f"formula count: {formula_value}")
+            text.append(f"upper bound: {bound}   (no closed formula for t = {t})")
 
-    brute_value: int | None = None
-    if mode in ("brute", "both"):
-        brute_value = brute_force_count(n, t, args.enumeration_limit)
-        payload["brute"] = brute_value
-        text.append(f"brute-force count: {brute_value}")
-
-    if mode == "both":
-        if formula_value is not None:
-            verdict = "AGREE" if formula_value == brute_value else "DISAGREE"
-        else:
-            verdict = "CONSISTENT" if brute_value <= bound_value else "INCONSISTENT"
-        payload["verdict"] = verdict
-        text.append(f"verdict: {verdict}")
-        if verdict in ("DISAGREE", "INCONSISTENT"):
-            exit_code = EXIT_VERIFICATION_FAILED
+    if mode != "formula":
+        brute = payload["brute"] = brute_force_count(n, t, args.enumeration_limit)
+        text.append(f"brute-force count: {brute}")
+        if mode == "both":
+            if "formula" in payload:
+                verdict = "AGREE" if payload["formula"] == brute else "DISAGREE"
+            else:
+                verdict = "CONSISTENT" if brute <= payload["upper_bound"] else "INCONSISTENT"
+            payload["verdict"] = verdict
+            text.append(f"verdict: {verdict}")
 
     _emit(args, payload, text)
-    return exit_code
+    return EXIT_VERIFICATION_FAILED if payload.get("verdict") in ("DISAGREE", "INCONSISTENT") else EXIT_OK
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:

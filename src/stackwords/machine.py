@@ -36,14 +36,15 @@ def stack_sort(p: Sequence[int]) -> Perm:
 def iterate_stack_sort(p: Sequence[int], times: int) -> Perm:
     """
     Apply stack_sort the given number of times (0 returns p unchanged).
-    Stops once the identity appears, a fixed point that any p of length n
-    reaches within n-1 passes, so large counts cost no more than that.
+    Runs at most n-1 passes, which sort any n entries, since a sorted
+    sequence is a fixed point; a p of 1..n stops sooner, once the identity
+    appears. So a large count costs no more than n-1 passes, whatever p is.
     """
     if times < 0:
         raise ValueError(f"negative pass count {times}")
     cur = tuple(p)
     identity = tuple(range(1, len(cur) + 1))
-    for _ in range(times):
+    for _ in range(min(times, len(cur) - 1)):
         if cur == identity:
             break
         cur = stack_sort(cur)

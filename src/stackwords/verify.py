@@ -2,11 +2,15 @@
 Self-verification: every formula, bound, and structural claim in the
 package checked against brute force at desk scale. Each check returns a
 result with concrete witnesses on failure. Each check takes its sizes
-as arguments; ``BOUNDS`` holds them per level. The ``quick`` level keeps
-exhaustive sweeps to n <= 6 (well under a second); ``full`` pushes them
-to n <= 9 where that matters (end to end on a 2-CPU machine with Python
-3.11.7: about 0.8 s when it is quiet, 1.5 s beside two CPU-bound
-processes, 1.4 s on a quiet one without ``os.fork``).
+as arguments. The table ``_FAMILIES`` has one row per family, in report
+order: its check, the ``_Family`` class it adds to the shared sweep (or
+None) and its sizes per level. ``ALL_CHECKS``, ``BOUNDS`` and the map of
+sweeping families are read off it, so a new family is its check and one
+row. The ``quick`` level keeps exhaustive sweeps to n <= 6 (well under a
+second); ``full`` pushes them to n <= 9 where that matters (end to end
+on a 2-CPU machine with Python 3.11.7: about 0.8 s when it is quiet,
+1.5 s beside two CPU-bound processes, 1.4 s on a quiet one without
+``os.fork``).
 ``run_verification`` runs the eight families that share one streaming
 sweep over every permutation of each n in its own process, and every
 other check at the same time in one forked child; each
@@ -74,6 +78,10 @@ def _result(name: str, detail: str, witnesses: list[str]) -> CheckResult:
     if len(witnesses) > _MAX_WITNESSES:
         shown.append(f"... {len(witnesses) - _MAX_WITNESSES} more")
     return CheckResult(name=name, passed=not witnesses, detail=detail, witnesses=shown)
+
+
+def _family_name(check: Callable[..., CheckResult]) -> str:
+    return check.__name__.removeprefix("check_")
 
 
 class _Seen:
@@ -553,80 +561,35 @@ def check_growth_bridge(sample: tuple[int, ...]) -> CheckResult:
     )
 
 
-ALL_CHECKS = (
-    check_permutation_statistics,
-    check_catalan_oracle,
-    check_two_stack_oracle,
-    check_descent_refinement_oracle,
-    check_descent_refinement_algebra,
-    check_sortability_structure,
-    check_series_machine_equivalence,
-    check_forbidden_factors,
-    check_codec_roundtrip,
-    check_projection,
-    check_factor_descent_bijections,
-    check_placement_membership,
-    check_one_stack_word_count,
-    check_bound_inequalities,
-    check_growth_function,
-    check_growth_bridge,
+LEVELS = ("quick", "full")
+
+# One row per family, in report order: its check; the _Family class it adds
+# to run_verification's shared n! sweep, or None for a check that the forked
+# child runs; and its sizes at each of LEVELS, as the check's keyword arguments.
+_FAMILIES = (
+    (check_permutation_statistics, _PermutationStatistics, {"top": 6}, {"top": 8}),
+    (check_catalan_oracle, None, {"top": 6}, {"top": 8}),
+    (check_two_stack_oracle, None, {"top": 6}, {"top": 8}),
+    (check_descent_refinement_oracle, _DescentRefinementOracle, {"top": 6}, {"top": 7}),
+    (check_descent_refinement_algebra, None, {"top": 120}, {"top": 300}),
+    (check_sortability_structure, _SortabilityStructure, {"top": 6, "avoid_top": 6}, {"top": 7, "avoid_top": 8}),
+    (check_series_machine_equivalence, None, {"top": 6}, {"top": 7}),
+    (check_forbidden_factors, _ForbiddenFactors, {"top": 6}, {"top": 7}),
+    (check_codec_roundtrip, _CodecRoundtrip, {"top": 6}, {"top": 7}),
+    (check_projection, _Projection, {"top": 6}, {"top": 7}),
+    (check_factor_descent_bijections, _FactorDescentBijections, {"top": 6}, {"top": 7}),
+    (check_placement_membership, _PlacementMembership, {"top": 6}, {"top": 7}),
+    (check_one_stack_word_count, None, {"top": 6}, {"top": 8}),
+    (check_bound_inequalities, None, {"top3": 6, "top_trivial": 6}, {"top3": 9, "top_trivial": 8}),
+    (check_growth_function, None, {}, {}),
+    (check_growth_bridge, None, {"sample": (10, 50, 200)}, {"sample": (10, 50, 200, 1000, 2000)}),
 )
 
-
-# Sizes per level, keyed by family name: the keyword arguments of check_<family>.
-BOUNDS = {
-    "quick": {
-        "permutation_statistics": {"top": 6},
-        "catalan_oracle": {"top": 6},
-        "two_stack_oracle": {"top": 6},
-        "descent_refinement_oracle": {"top": 6},
-        "descent_refinement_algebra": {"top": 120},
-        "sortability_structure": {"top": 6, "avoid_top": 6},
-        "series_machine_equivalence": {"top": 6},
-        "forbidden_factors": {"top": 6},
-        "codec_roundtrip": {"top": 6},
-        "projection": {"top": 6},
-        "factor_descent_bijections": {"top": 6},
-        "placement_membership": {"top": 6},
-        "one_stack_word_count": {"top": 6},
-        "bound_inequalities": {"top3": 6, "top_trivial": 6},
-        "growth_function": {},
-        "growth_bridge": {"sample": (10, 50, 200)},
-    },
-    "full": {
-        "permutation_statistics": {"top": 8},
-        "catalan_oracle": {"top": 8},
-        "two_stack_oracle": {"top": 8},
-        "descent_refinement_oracle": {"top": 7},
-        "descent_refinement_algebra": {"top": 300},
-        "sortability_structure": {"top": 7, "avoid_top": 8},
-        "series_machine_equivalence": {"top": 7},
-        "forbidden_factors": {"top": 7},
-        "codec_roundtrip": {"top": 7},
-        "projection": {"top": 7},
-        "factor_descent_bijections": {"top": 7},
-        "placement_membership": {"top": 7},
-        "one_stack_word_count": {"top": 8},
-        "bound_inequalities": {"top3": 9, "top_trivial": 8},
-        "growth_function": {},
-        "growth_bridge": {"sample": (10, 50, 200, 1000, 2000)},
-    },
-}
-
-LEVELS = tuple(BOUNDS)
-
-
+ALL_CHECKS = tuple(check for check, *_ in _FAMILIES)
+# Sizes per level, keyed by family name.
+BOUNDS = {level: {_family_name(check): sizes[i] for check, _, *sizes in _FAMILIES} for i, level in enumerate(LEVELS)}
 # The families that share the n! sweep of run_verification, by their check function.
-_SWEEPING: dict[Callable[..., CheckResult], type[_Family]] = {
-    check_permutation_statistics: _PermutationStatistics,
-    check_descent_refinement_oracle: _DescentRefinementOracle,
-    check_sortability_structure: _SortabilityStructure,
-    check_forbidden_factors: _ForbiddenFactors,
-    check_codec_roundtrip: _CodecRoundtrip,
-    check_projection: _Projection,
-    check_factor_descent_bijections: _FactorDescentBijections,
-    check_placement_membership: _PlacementMembership,
-}
+_SWEEPING = {check: family for check, family, *_ in _FAMILIES if family is not None}
 
 
 def _raised(family: str, exc: BaseException) -> CheckResult:
@@ -637,7 +600,7 @@ def _run_checks(checks: list[Callable[..., CheckResult]], row: dict[str, dict]) 
     """Call each check with its sizes from row; one that raises fails its family."""
     results = []
     for check in checks:
-        family = check.__name__.removeprefix("check_")
+        family = _family_name(check)
         try:
             results.append(check(**row[family]))
         except Exception as exc:
@@ -715,7 +678,7 @@ def _run_beside(
             pass
     ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
     exc = ChildProcessError(f"the checking child process ended ({ended}) without a complete result")
-    return [_raised(check.__name__.removeprefix("check_"), exc) for check in checks]
+    return [_raised(_family_name(check), exc) for check in checks]
 
 
 def run_verification(level: str = "quick") -> list[CheckResult]:

@@ -105,15 +105,16 @@ def validate_word(text: str, stacks: int, alphabet: str | None = None) -> StackW
         alphabet = standard
     if len(alphabet) != stacks + 1:
         raise ValueError(f"alphabet {alphabet!r} does not have {stacks + 1} letters")
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError(f"alphabet {alphabet!r} repeats a letter")
     counts, at = _ballot_scan(text, alphabet)
     if at:
         ch = text[at - 1]
         if ch not in alphabet:
             raise ValueError(f"unknown letter {ch!r} at position {at}")
-        # rindex: a repeated letter stands at its last place, as in the scan
         raise ValueError(
             f"ballot condition violated at position {at}: prefix {text[:at]!r} "
-            f"has more {ch!r} than {alphabet[alphabet.rindex(ch) - 1]!r}"
+            f"has more {ch!r} than {alphabet[alphabet.index(ch) - 1]!r}"
         )
     if len(set(counts)) > 1:
         named = ", ".join(f"{ch}:{c}" for ch, c in zip(alphabet, counts))

@@ -76,6 +76,22 @@ class TestIterate:
         # the identity is reached within n-1 passes; the rest are skipped
         assert iterate_stack_sort((2, 3, 4, 1), 10**12) == (1, 2, 3, 4)
 
+    def test_stops_after_n_minus_1_passes_on_other_entries(self, monkeypatch):
+        # (2, 3) never becomes the identity, but it is sorted, so a fixed
+        # point: each call makes its n - 1 = 1 pass and returns
+        passes = []
+
+        def counted(p):
+            passes.append(p)
+            if len(passes) > 1:
+                raise AssertionError("more than n - 1 passes")
+            return stack_sort(p)
+
+        monkeypatch.setattr(machine_module, "stack_sort", counted)
+        assert iterate_stack_sort((2, 3), 10**9) == (2, 3)
+        passes.clear()
+        assert is_t_stack_sortable((2, 3), 10**9) is False
+
 
 class TestSortability:
     def test_231_needs_two_passes(self):

@@ -26,6 +26,20 @@ def test_unknown_level_rejected():
         verify.run_verification("paranoid")
 
 
+@pytest.mark.parametrize("level", verify.LEVELS)
+def test_each_level_sizes_every_family_in_report_order(level):
+    assert list(verify.BOUNDS) == list(verify.LEVELS)
+    assert list(verify.BOUNDS[level]) == [check.__name__.removeprefix("check_") for check in verify.ALL_CHECKS]
+
+
+def test_each_sweeping_family_is_a_check_with_its_family_class():
+    assert verify._SWEEPING
+    for check, family in verify._SWEEPING.items():
+        assert check in verify.ALL_CHECKS
+        assert issubclass(family, verify._Family)
+        assert family.name == check.__name__.removeprefix("check_")
+
+
 def test_failures_carry_witnesses(monkeypatch):
     # sabotage the formula the check compares against; the report must
     # name a concrete witness

@@ -132,6 +132,11 @@ class TestValidate:
         with pytest.raises(ValueError, match="alphabet 'ABC' does not have 2 letters"):
             validate_word("AB", 1, alphabet="ABC")
 
+    @pytest.mark.parametrize("letters", ["", "AB"])
+    def test_alphabet_that_repeats_a_letter(self, letters):
+        with pytest.raises(ValueError, match="alphabet 'ABA' repeats a letter"):
+            validate_word(letters, 2, alphabet="ABA")
+
     def test_shifted_alphabet(self):
         word = validate_word("BCBDCD", 2, alphabet="BCD")
         assert word.stacks == 2
