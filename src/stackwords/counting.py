@@ -16,6 +16,22 @@ from typing import Iterator, Sequence
 from .machine import is_t_stack_sortable, stack_sort
 from .perms import DEFAULT_ENUMERATION_LIMIT, Perm, all_permutations, descent_count
 
+__all__ = [
+    "binomial",
+    "catalan",
+    "two_stack_count",
+    "two_stack_count_by_descents",
+    "bound_summand",
+    "three_stack_bound",
+    "trivial_bound",
+    "image_tally",
+    "brute_force_count",
+    "brute_force_image_descent_counts",
+    "stack_sort_preimages",
+    "image_fertilities",
+    "image_descent_counts",
+]
+
 
 def binomial(a: int, b: int) -> int:
     """C(a, b), with 0 for b < 0 or b > a."""

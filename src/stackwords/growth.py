@@ -18,6 +18,16 @@ from dataclasses import dataclass
 
 from .counting import bound_summand, three_stack_bound
 
+__all__ = [
+    "growth_rate",
+    "growth_rate_unsimplified",
+    "critical_point",
+    "GrowthMaximum",
+    "maximize_growth_rate",
+    "summand_nth_root",
+    "bound_nth_root",
+]
+
 _EDGE = 1e-9  # search interval is [_EDGE, 0.5 - _EDGE]
 # Near x* ~ 0.29 doubles are 5.6e-17 apart: a bracket cannot shrink
 # below a few of those, so a smaller tolerance would never stop the

@@ -10,6 +10,18 @@ from typing import Sequence
 from .perms import Perm, check_permutation
 from .words import MOVE_LETTERS, StackWord, decode, default_alphabet
 
+__all__ = [
+    "stack_sort",
+    "iterate_stack_sort",
+    "is_t_stack_sortable",
+    "min_sorting_passes",
+    "MachineStep",
+    "SeriesRun",
+    "run_series_machine",
+    "encode",
+    "is_genuine_word",
+]
+
 
 def stack_sort(p: Sequence[int]) -> Perm:
     """

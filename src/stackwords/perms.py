@@ -15,6 +15,18 @@ import itertools
 import operator
 from typing import Iterator, Sequence
 
+__all__ = [
+    "Perm",
+    "DEFAULT_ENUMERATION_LIMIT",
+    "check_permutation",
+    "parse_permutation",
+    "format_permutation",
+    "is_identity",
+    "descent_count",
+    "contains_pattern",
+    "all_permutations",
+]
+
 Perm = tuple[int, ...]
 
 # Guard for the exhaustive enumerators; callers may raise it consciously.
@@ -50,7 +62,9 @@ def parse_permutation(text: str) -> Perm:
     """
     Parse one-line notation: a comma- or whitespace-separated list of
     integers, or a compact digit string (one digit per value, n <= 9).
-    No entry may be empty: each comma stands between two entries.
+    Entries are ASCII digits only, so no sign, underscore or other
+    script's digit is read. No entry may be empty: each comma stands
+    between two entries.
 
     >>> parse_permutation("2,3,1")
     (2, 3, 1)
@@ -70,13 +84,10 @@ def parse_permutation(text: str) -> Perm:
         tokens = list(text)  # compact digit form
     else:
         tokens = [text]
-    values = []
     for tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ValueError(f"malformed token {tok!r} in permutation {text!r}") from None
-    return check_permutation(values)
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"malformed token {tok!r} in permutation {text!r}")
+    return check_permutation([int(tok) for tok in tokens])
 
 
 def format_permutation(p: Sequence[int]) -> str:

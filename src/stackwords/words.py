@@ -22,6 +22,18 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
+__all__ = [
+    "MAX_STACKS",
+    "default_alphabet",
+    "StackWord",
+    "validate_word",
+    "count_factor",
+    "forbidden_factor_violations",
+    "decode",
+    "image_word",
+    "enumerate_a_placements",
+]
+
 MAX_STACKS = 24
 MOVE_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXY"
 # the standard alphabet of each stack count t, built once, so every word

@@ -71,6 +71,13 @@ class TestSort:
         assert out == ""
         assert "empty entry in permutation '1,,2'" in err
 
+    @pytest.mark.parametrize("text", ["1_0,2,3,4,5,6,7,8,9,1", "2\u0661", "\uff12\uff11", "+2,+1"])
+    def test_a_token_not_in_ascii_digits_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "sort", text)
+        assert code == 2
+        assert out == ""
+        assert "malformed token" in err
+
 
 class TestWord:
     def test_encode(self, capsys):

@@ -53,6 +53,22 @@ class TestParse:
         with pytest.raises(ValueError, match="malformed token"):
             parse_permutation("1,x,2")
 
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("1_0,2,3,4,5,6,7,8,9,1", "1_0"),  # int() reads the underscore as a digit separator
+            ("2\u0661", "\u0661"),  # ARABIC-INDIC DIGIT ONE
+            ("\uff12\uff11", "\uff12"),  # FULLWIDTH DIGIT TWO
+            ("+2,+1", "+2"),
+            ("2,-1", "-1"),
+            ("2 \u00b9", "\u00b9"),  # SUPERSCRIPT ONE: isdigit() but not a decimal int() reads
+        ],
+    )
+    def test_only_ascii_digits_are_read(self, text, token):
+        with pytest.raises(ValueError) as caught:
+            parse_permutation(text)
+        assert str(caught.value) == f"malformed token {token!r} in permutation {text!r}"
+
     @pytest.mark.parametrize("text", ["1,,2", ",2,1", "2,1,", "1, ,2", ",", " , 1"])
     def test_empty_entry_rejected(self, text):
         with pytest.raises(ValueError) as caught:
