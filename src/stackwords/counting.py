@@ -29,7 +29,6 @@ __all__ = [
     "brute_force_image_descent_counts",
     "stack_sort_preimages",
     "image_fertilities",
-    "image_descent_counts",
 ]
 
 
@@ -302,19 +301,3 @@ def image_fertilities(n: int) -> Iterator[tuple[Perm, int]]:
             count = fertility(q)
             if count:
                 yield q, count
-
-
-def image_descent_counts(n: int) -> dict[int, int]:
-    """
-    The fertilities of image_fertilities(n) summed by the descent count of
-    the image: the same tallies as brute_force_image_descent_counts(n),
-    without sweeping all n! permutations.
-
-    >>> image_descent_counts(5) == {0: 42, 1: 68, 2: 4}
-    True
-    """
-    counts: dict[int, int] = {}
-    for q, fertility in image_fertilities(n):
-        d = descent_count(q)
-        counts[d] = counts.get(d, 0) + fertility
-    return counts

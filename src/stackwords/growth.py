@@ -127,7 +127,9 @@ def _golden_section(lo: float, hi: float, tolerance: float) -> tuple[float, int]
     fc = _log_growth_rate(c)
     fd = _log_growth_rate(d)
     iterations = 0
-    while b - a > tolerance:
+    # probes that compare equal stand where the maximum is flat to
+    # rounding: there is nothing left to rank
+    while b - a > tolerance and fc != fd:
         iterations += 1
         if fc > fd:
             b, d, fd = d, c, fc
@@ -165,9 +167,10 @@ def maximize_growth_rate(tolerance: float = 1e-10, method: str = "golden_section
     derivative_bisection method, on the sign of the closed-form slope of
     the log, is an independent cross-check. Bisection lands within the
     tolerance of critical_point(). Golden section compares values of a
-    function that is flat at its maximum, so below a tolerance of about
-    1e-9 it stops about 1.6e-9 from critical_point() whatever the
-    tolerance.
+    function that is flat at its maximum, and stops once its two probes
+    compare equal, about 1.6e-9 from critical_point(): at a tolerance of
+    1e-10 or less it takes the same iterations whatever the tolerance.
+    The result's tolerance is still the one asked for.
     """
     if not math.isfinite(tolerance) or tolerance < _MIN_TOLERANCE:
         raise ValueError(f"tolerance must be finite and at least {_MIN_TOLERANCE}, got {tolerance}")

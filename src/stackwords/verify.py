@@ -133,22 +133,22 @@ class _Seen:
 
 class _Family:
     """
-    A property family that reads a sweep, shared or its own: ``visit``
-    sees every permutation of each n in ``sizes`` (``first`` up to the
-    check's largest size) in all_permutations order, then ``finish``
-    closes that n.
+    A property family that reads a sweep, shared or its own. Each family
+    has one size, ``top``: ``visit`` sees every permutation of each n in
+    ``sizes`` (``first`` up to ``top``) in all_permutations order, then
+    ``finish`` closes that n.
     Witnesses collect in ``bad`` in that order; an exception ends the
     family's part in the sweep, is kept in ``error`` and raised by
-    ``result``. ``detail`` is formatted with the check's sizes.
+    ``result``. ``detail`` is formatted with ``top``.
     """
 
     name: str
     detail: str
     first = 0
 
-    def __init__(self, **sizes: int):
-        self.sizes = range(self.first, max(sizes.values()) + 1)
-        self.detail = self.detail.format(**sizes)
+    def __init__(self, top: int):
+        self.sizes = range(self.first, top + 1)
+        self.detail = self.detail.format(top=top)
         self.bad: list[str] = []
         self.error: Exception | None = None
 
@@ -158,13 +158,10 @@ class _Family:
     def finish(self, n: int) -> None:
         pass
 
-    def witnesses(self) -> list[str]:
-        return self.bad
-
     def result(self) -> CheckResult:
         if self.error is not None:
             raise self.error
-        return _result(self.name, self.detail, self.witnesses())
+        return _result(self.name, self.detail, self.bad)
 
 
 def _sweep(families: list[_Family]) -> None:
@@ -204,14 +201,16 @@ class _PermutationStatistics(_Family):
     name = "permutation_statistics"
     detail = "descents, containment, 231-avoiders for n <= {top}"
 
-    def __init__(self, **sizes: int):
-        super().__init__(**sizes)
+    def __init__(self, top: int):
+        super().__init__(top)
         self.avoiders = 0
 
     def visit(self, seen: _Seen) -> None:
         p, n = seen.p, seen.n
         if seen.avoids_231():
             self.avoiders += 1
+        if n >= 1 and seen.sortable(1) != seen.avoids_231():
+            self.bad.append(f"p={format_permutation(p)}: 1-sortability vs 231-avoidance mismatch")
         if n >= 1 and seen.descents() + descent_count(p[::-1]) != n - 1:
             self.bad.append(f"descent/reverse mismatch at p={format_permutation(p)}")
         if not contains_pattern(p, p) or not contains_pattern(p, ()):
@@ -251,8 +250,8 @@ class _DescentRefinementOracle(_Family):
     detail = "2-stack counts by descents vs formula for n <= {top}"
     first = 1
 
-    def __init__(self, **sizes: int):
-        super().__init__(**sizes)
+    def __init__(self, top: int):
+        super().__init__(top)
         self.tallies: Counter[int] = Counter()
 
     def visit(self, seen: _Seen) -> None:
@@ -285,20 +284,10 @@ def check_descent_refinement_algebra(top: int) -> CheckResult:
 class _SortabilityStructure(_Family):
     name = "sortability_structure"
     detail = "monotonicity and pattern avoidance for n <= {top}"
-
-    def __init__(self, top: int, avoid_top: int):
-        super().__init__(top=top, avoid_top=avoid_top)
-        self.top, self.avoid_top = top, avoid_top
-        self.avoid_bad: list[str] = []  # reported before the other witnesses
+    first = 1
 
     def visit(self, seen: _Seen) -> None:
         p, n = seen.p, seen.n
-        if n < 1:
-            return
-        if n <= self.avoid_top and seen.sortable(1) != seen.avoids_231():
-            self.avoid_bad.append(f"p={format_permutation(p)}: 1-sortability vs 231-avoidance mismatch")
-        if n > self.top:
-            return
         sortable = [seen.sortable(t) for t in (1, 2, 3, 4)]
         if any(a and not b for a, b in zip(sortable, sortable[1:])):
             self.bad.append(f"p={format_permutation(p)}: sortability not monotone in t")
@@ -309,12 +298,9 @@ class _SortabilityStructure(_Family):
             if sortable[t - 1] and contains_pattern(p, pattern):
                 self.bad.append(f"p={format_permutation(p)}: {t}-sortable but contains {format_permutation(pattern)}")
 
-    def witnesses(self) -> list[str]:
-        return self.avoid_bad + self.bad
 
-
-def check_sortability_structure(top: int, avoid_top: int) -> CheckResult:
-    return _sweep_alone(_SortabilityStructure(top=top, avoid_top=avoid_top))
+def check_sortability_structure(top: int) -> CheckResult:
+    return _sweep_alone(_SortabilityStructure(top=top))
 
 
 class _SeriesMachineEquivalence(_Family):
@@ -417,8 +403,8 @@ class _PlacementMembership(_Family):
     detail = "every trace among its projection's candidates, stream sizes exact, n <= {top}"
     first = 1
 
-    def __init__(self, **sizes: int):
-        super().__init__(**sizes)
+    def __init__(self, top: int):
+        super().__init__(top)
         self.by_projection: dict[str, list] = {}  # the 3-sortable p of one n, with their traces
 
     def visit(self, seen: _Seen) -> None:
@@ -572,7 +558,7 @@ _FAMILIES = (
     (check_two_stack_oracle, None, {"top": 6}, {"top": 8}),
     (check_descent_refinement_oracle, _DescentRefinementOracle, {"top": 6}, {"top": 7}),
     (check_descent_refinement_algebra, None, {"top": 120}, {"top": 300}),
-    (check_sortability_structure, _SortabilityStructure, {"top": 6, "avoid_top": 6}, {"top": 7, "avoid_top": 8}),
+    (check_sortability_structure, _SortabilityStructure, {"top": 6}, {"top": 7}),
     (check_series_machine_equivalence, None, {"top": 6}, {"top": 7}),
     (check_forbidden_factors, _ForbiddenFactors, {"top": 6}, {"top": 7}),
     (check_codec_roundtrip, _CodecRoundtrip, {"top": 6}, {"top": 7}),

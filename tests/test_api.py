@@ -43,7 +43,6 @@ PUBLIC = [
     "format_permutation",
     "growth_rate",
     "growth_rate_unsimplified",
-    "image_descent_counts",
     "image_fertilities",
     "image_tally",
     "image_word",

@@ -113,6 +113,16 @@ class TestMaximize:
         found = maximize_growth_rate(tolerance, "derivative_bisection")
         assert abs(found.x_star - critical_point()) <= tolerance
 
+    def test_golden_section_stops_at_its_floor(self):
+        # below about 1e-9 the probes compare equal before the bracket
+        # reaches the tolerance, so a smaller tolerance adds no iterations
+        floor = maximize_growth_rate(1e-10)
+        for tolerance in (1e-12, 1e-15):
+            found = maximize_growth_rate(tolerance)
+            assert found.iterations == floor.iterations
+            assert found.x_star == floor.x_star
+            assert found.tolerance == tolerance
+
     def test_g_star_is_reevaluated(self):
         found = maximize_growth_rate(1e-10)
         assert found.g_star == growth_rate(found.x_star)

@@ -10,7 +10,7 @@ import stackwords.counting as counting
 import stackwords.verify as verify
 from stackwords.cli import main
 from stackwords.machine import is_t_stack_sortable, stack_sort
-from stackwords.perms import all_permutations
+from stackwords.perms import all_permutations, format_permutation
 from stackwords.words import StackWord
 
 
@@ -253,15 +253,25 @@ def test_the_sweep_computes_each_word_once(monkeypatch, tmp_path):
     assert calls["run_series_machine"] == 4 * perms
 
 
-def test_avoidance_witnesses_come_first(monkeypatch):
-    # every p "contains" every pattern, so both loops of
-    # sortability_structure report; the avoid loop's witnesses lead for
-    # all n, as when it ran before the other loop
+def test_the_231_check_belongs_to_permutation_statistics(monkeypatch):
+    # every p "contains" 231, so each 1-sortable p with n >= 1 is a
+    # mismatch; permutation_statistics names them in all_permutations
+    # order, and sortability_structure no longer checks 231-avoidance
     monkeypatch.setattr(verify, "contains_pattern", lambda p, q: True)
     monkeypatch.setattr(verify, "_MAX_WITNESSES", 100)
-    result = verify.check_sortability_structure(top=3, avoid_top=3)
-    avoid = ["231-avoidance mismatch" in w for w in result.witnesses]
-    assert avoid == [True] * 8 + [False] * 26
+    mismatch = "1-sortability vs 231-avoidance mismatch"
+    expected = [
+        f"p={format_permutation(p)}: {mismatch}"
+        for n in range(1, 4)
+        for p in all_permutations(n)
+        if is_t_stack_sortable(p, 1)
+    ]
+    assert len(expected) == 1 + 2 + 5
+    statistics = verify.check_permutation_statistics(top=3)
+    assert [w for w in statistics.witnesses if mismatch in w] == expected
+    structure = verify.check_sortability_structure(top=3)
+    assert not structure.passed
+    assert not any(mismatch in w for w in structure.witnesses)
 
 
 # the checks that run in the forked child: this module's own, not in _SWEEPING
