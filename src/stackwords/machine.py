@@ -141,40 +141,12 @@ class SeriesRun:
 _LETTER_OF_CODE = bytes.maketrans(bytes(range(len(MOVE_LETTERS))), MOVE_LETTERS.encode("ascii"))
 
 
-# The records below are built through their slot descriptors: the frozen
-# __init__ makes one object.__setattr__ call per field, which the replay
-# would pay at every move. The result is the same frozen instance (same
-# type, equality, hash and repr), and it still refuses assignment. The
-# setters are default arguments so that each call reads them as locals.
-def _stack_word(
-    letters: str,
-    alphabet: str,
-    _new=object.__new__,
-    _letters=StackWord.letters.__set__,
-    _alphabet=StackWord.alphabet.__set__,
-) -> StackWord:
-    word = _new(StackWord)
-    _letters(word, letters)
-    _alphabet(word, alphabet)
-    return word
-
-
-def _series_run(
-    word: StackWord,
-    output: Perm,
-    steps: tuple[MachineStep, ...] | None,
-    _new=object.__new__,
-    _word=SeriesRun.word.__set__,
-    _output=SeriesRun.output.__set__,
-    _steps=SeriesRun.steps.__set__,
-) -> SeriesRun:
-    run = _new(SeriesRun)
-    _word(run, word)
-    _output(run, output)
-    _steps(run, steps)
-    return run
-
-
+# The replay builds one MachineStep per move through its slot descriptors:
+# the frozen __init__ makes one object.__setattr__ call per field, which
+# the replay would pay at every move. The result is the same frozen
+# instance (same type, equality, hash and repr), and it still refuses
+# assignment. The setters are default arguments so that each call reads
+# them as locals.
 def _machine_step(
     step: int,
     letter: str,
@@ -264,9 +236,9 @@ def run_series_machine(p: Sequence[int], stacks: int, record_steps: bool = False
         raise RuntimeError(f"internal error: trace length {len(codes)} != {(t + 1) * n}")
     if piles != [[n + 1]] * t:  # an entry is left over, or a sentinel was emitted
         raise RuntimeError("internal error: the piles do not end on their sentinels alone")
-    word = _stack_word(codes.translate(_LETTER_OF_CODE).decode("ascii"), alphabet)
+    word = StackWord(codes.translate(_LETTER_OF_CODE).decode("ascii"), alphabet)
     steps = _replay_steps(p, codes, alphabet) if record_steps else None
-    return _series_run(word, tuple(out), steps)
+    return SeriesRun(word, tuple(out), steps)
 
 
 def _replay_steps(p: Perm, codes: bytes, alphabet: str) -> tuple[MachineStep, ...]:

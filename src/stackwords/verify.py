@@ -6,11 +6,8 @@ as arguments. The table ``_FAMILIES`` has one row per family, in report
 order: its check, the ``_Family`` class it adds to the shared sweep (or
 None) and its sizes per level. ``ALL_CHECKS``, ``BOUNDS`` and the map of
 sweeping families are read off it, so a new family is its check and one
-row. The ``quick`` level keeps exhaustive sweeps to n <= 6 (well under a
-second); ``full`` pushes them to n <= 9 where that matters (end to end
-on a 2-CPU machine with Python 3.11.7: about 0.8 s when it is quiet,
-1.5 s beside two CPU-bound processes, 1.4 s on a quiet one without
-``os.fork``).
+row. The ``quick`` level keeps exhaustive sweeps to n <= 6; ``full``
+pushes them to n <= 9 where that matters.
 ``run_verification`` runs the eight families that share one streaming
 sweep over every permutation of each n in its own process, and every
 other check at the same time in one forked child; each
@@ -86,17 +83,19 @@ def _family_name(check: Callable[..., CheckResult]) -> str:
 
 class _Seen:
     """
-    One permutation of the sweep and what the families read from it. Each
-    value is computed on first use, at most once, and goes when the sweep
-    moves on to the next permutation. A value whose computation raises is
-    not kept, so every family that asks for it meets the exception.
+    One permutation of the sweep and what two or more families read from
+    it; a value that one family alone reads, that family computes itself.
+    Each value is computed on first use, at most once, and goes when the
+    sweep moves on to the next permutation. A value whose computation
+    raises is not kept, so every family that asks for it meets the
+    exception.
     """
 
-    __slots__ = ("p", "n", "_identity", "_image", "_cur", "_passes", "_words", "_descents", "_avoids_231")
+    __slots__ = ("p", "n", "_identity", "_image", "_cur", "_passes", "_words", "_descents")
 
     def __init__(self, p: tuple[int, ...], identity: tuple[int, ...]):
         self.p, self.n, self._identity = p, len(p), identity
-        self._image = self._descents = self._avoids_231 = None
+        self._image = self._descents = None
         self._cur, self._passes = p, 0  # the stack-sort iterates so far
         self._words: list[StackWord | None] = [None] * 4
 
@@ -124,11 +123,6 @@ class _Seen:
         if self._descents is None:
             self._descents = descent_count(self.p)
         return self._descents
-
-    def avoids_231(self) -> bool:
-        if self._avoids_231 is None:
-            self._avoids_231 = not contains_pattern(self.p, (2, 3, 1))
-        return self._avoids_231
 
 
 class _Family:
@@ -207,9 +201,9 @@ class _PermutationStatistics(_Family):
 
     def visit(self, seen: _Seen) -> None:
         p, n = seen.p, seen.n
-        if seen.avoids_231():
-            self.avoiders += 1
-        if n >= 1 and seen.sortable(1) != seen.avoids_231():
+        avoids_231 = not contains_pattern(p, (2, 3, 1))
+        self.avoiders += avoids_231
+        if n >= 1 and seen.sortable(1) != avoids_231:
             self.bad.append(f"p={format_permutation(p)}: 1-sortability vs 231-avoidance mismatch")
         if n >= 1 and seen.descents() + descent_count(p[::-1]) != n - 1:
             self.bad.append(f"descent/reverse mismatch at p={format_permutation(p)}")

@@ -347,6 +347,8 @@ QUICK_REPORT_SHA256 = {
     "json": "66003859a012bd505cc4982ed6f8060067266d9ec413843a9175dff6dd1772f6",
     "csv": "bdcf30eb866ff59b428743b74555c7f0d560f732c4d6c3712e6902d17a181f86",
 }
+# the same for verify --level full, in text only
+FULL_REPORT_SHA256 = "aeb5012c8c624690d7406bf8e0b8c73b9dfa58bedaf2e0d1421e16d787a8d5eb"
 
 
 class TestVerify:
@@ -355,6 +357,11 @@ class TestVerify:
         code, out, err = run(capsys, "--format", output_format, "verify", "--level", "quick")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == QUICK_REPORT_SHA256[output_format], out
+
+    def test_full_report_is_byte_stable(self, capsys):
+        code, out, err = run(capsys, "verify", "--level", "full")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == FULL_REPORT_SHA256, out
 
     def test_quick_level_passes(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "verify", "--level", "quick")

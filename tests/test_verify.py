@@ -337,17 +337,22 @@ def test_no_child_is_left_after_a_return():
     _assert_no_child_left()
 
 
-def test_no_child_is_left_after_a_raise(monkeypatch):
-    # an interrupt in this process while the child is stuck in a check:
-    # the child is killed, not waited for
+def _interrupt_the_sweep(monkeypatch):
     def interrupted(families):
         raise KeyboardInterrupt
 
+    monkeypatch.setattr(verify, "_sweep", interrupted)
+    return KeyboardInterrupt
+
+
+def test_no_child_is_left_after_a_raise(monkeypatch):
+    # an interrupt in this process while the child is stuck in a check:
+    # the child is killed, not waited for
     def stuck(n):
         time.sleep(60)
         os._exit(0)
 
-    monkeypatch.setattr(verify, "_sweep", interrupted)
+    _interrupt_the_sweep(monkeypatch)
     monkeypatch.setattr(verify, "catalan", stuck)  # read by the child's first check
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -368,6 +373,31 @@ def test_without_fork_the_checks_run_here_with_the_same_results(monkeypatch, for
     else:
         monkeypatch.setattr(os, "fork", fork)
     assert verify.run_verification("quick") == forked
+
+
+# each path through run_verification's fork, set up on monkeypatch; each
+# returns the exception run_verification then raises, or None
+_FORK_PATHS = {
+    "returns": lambda monkeypatch: None,
+    "fork_missing": lambda monkeypatch: monkeypatch.delattr(os, "fork"),
+    "fork_raises_oserror": lambda monkeypatch: monkeypatch.setattr(os, "fork", _fork_refused),
+    "child_exits_without_a_result": lambda monkeypatch: _growth_rate_exits(monkeypatch, 0),
+    "sweep_interrupted": _interrupt_the_sweep,
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to list open descriptors")
+@pytest.mark.parametrize("path", sorted(_FORK_PATHS))
+def test_no_descriptor_is_left_open(monkeypatch, path):
+    raised = _FORK_PATHS[path](monkeypatch)
+    before = sorted(os.listdir("/proc/self/fd"))
+    if raised is None:
+        verify.run_verification("quick")
+    else:
+        with pytest.raises(raised):
+            verify.run_verification("quick")
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("family", ["growth_function", "codec_roundtrip"])
