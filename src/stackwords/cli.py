@@ -52,7 +52,7 @@ CONVERGENCE_SAMPLES = (10, 50, 200, 1000, 2000)
 # text, 0.45 s in JSON and 0.55 s in CSV, and 49 MiB peak in JSON (30 MiB
 # in CSV, 23 MiB in text), on 2 CPUs with Python 3.11.7.
 MAX_PERMUTATION_LENGTH = 200
-# the header of word encode --trace in CSV, one row per machine step
+# the keys of each word encode --trace step row in JSON, and the CSV header
 STEP_COLUMNS = ("step", "letter", "value", "stacks", "output")
 
 
@@ -143,8 +143,9 @@ def _cmd_word_encode(args: argparse.Namespace) -> int:
         text.append(f"projection over BCD: {v.letters}")
         text.append(f"BB factors in projection: {payload['bb_factors_in_projection']}")
         text.append(f"violations: {payload['violations']}")
-    # build only the form that is printed: step lines for text, records
-    # for JSON, and for CSV a steps table in the input's one-line notation
+    # build only the form that is printed: step lines for text, else one
+    # row per step under STEP_COLUMNS, whose stacks and output are lists
+    # for JSON and, for CSV, cells in the input's one-line notation
     # (compact digits for n <= 9), one stack per "; "-separated part
     table = None
     if args.trace and args.output_format == "text":
@@ -153,18 +154,11 @@ def _cmd_word_encode(args: argparse.Namespace) -> int:
             f"out={list(s.output)}"
             for s in run.steps
         )
-    elif args.trace and args.output_format == "json":
-        payload["steps"] = [step.as_record() for step in run.steps]
     elif args.trace:
-        sep = "" if len(p) <= 9 else ","
+        join = "".join if len(p) <= 9 else ",".join
+        cell = list if args.output_format == "json" else lambda x: join(map(str, x))
         payload["steps"] = [
-            {
-                "step": s.step,
-                "letter": s.letter,
-                "value": s.value,
-                "stacks": [sep.join(map(str, x)) for x in s.stacks],
-                "output": sep.join(map(str, s.output)),
-            }
+            dict(zip(STEP_COLUMNS, (s.step, s.letter, s.value, [cell(x) for x in s.stacks], cell(s.output))))
             for s in run.steps
         ]
         table = "steps"

@@ -120,15 +120,6 @@ class MachineStep:
     stacks: tuple[tuple[int, ...], ...]
     output: tuple[int, ...]
 
-    def as_record(self) -> dict:
-        return {
-            "step": self.step,
-            "letter": self.letter,
-            "value": self.value,
-            "stacks": [list(s) for s in self.stacks],
-            "output": list(self.output),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class SeriesRun:

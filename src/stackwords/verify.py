@@ -6,8 +6,10 @@ as arguments. The table ``_FAMILIES`` has one row per family, in report
 order: its check, the ``_Family`` class it adds to the shared sweep (or
 None) and its sizes per level. ``ALL_CHECKS``, ``BOUNDS`` and the map of
 sweeping families are read off it, so a new family is its check and one
-row. The ``quick`` level keeps exhaustive sweeps to n <= 6; ``full``
-pushes them to n <= 9 where that matters.
+row. The ``quick`` level keeps exhaustive sweeps to n <= 6. ``full``
+takes the n! sweeps of ``permutation_statistics``, the two count oracles
+and the brute-force part of ``bound_inequalities`` to n <= 8 and the
+other n! sweeps to n <= 7; only the preimage engine reaches n = 9.
 ``run_verification`` runs the eight families that share one streaming
 sweep over every permutation of each n in its own process, and every
 other check at the same time in one forked child; each
@@ -278,7 +280,6 @@ def check_descent_refinement_algebra(top: int) -> CheckResult:
 class _SortabilityStructure(_Family):
     name = "sortability_structure"
     detail = "monotonicity and pattern avoidance for n <= {top}"
-    first = 1
 
     def visit(self, seen: _Seen) -> None:
         p, n = seen.p, seen.n

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import signal
 import subprocess
 import sys
@@ -79,6 +80,18 @@ class TestSort:
         assert "malformed token" in err
 
 
+# sha256 of the exact stdout of word encode --trace in each format, for a
+# permutation past n = 9 (comma-separated CSV cells) and the empty one
+TRACE_SHA256 = {
+    ("text", "10,2,3,4,5,6,7,8,9,1,11", "2"): "a8d8ac04a659ab9512385867936c35f49223f4cdc8ab9d69c0fc737d29610578",
+    ("json", "10,2,3,4,5,6,7,8,9,1,11", "2"): "4cdd938fda405b69a3b3a02178981981edb11d4cf2a55fd5cee326a02f7a7487",
+    ("csv", "10,2,3,4,5,6,7,8,9,1,11", "2"): "b582ceb149d5de7ac0648ed44a58afb3228d858f0571a17108273d9133be1f08",
+    ("text", "", "3"): "cede5d4f6d3c4f022cfd2b421d2c48a227c78d4fba26c0b6bca30507dbb2e5fb",
+    ("json", "", "3"): "72316d8ed6d96232013146da2731feadf1249abba2370b5019c17dcb43c3ddb1",
+    ("csv", "", "3"): "2c8020416f3601c8df064e099350d1444266b9454158c5ebaee9cfb02edc62a9",
+}
+
+
 class TestWord:
     def test_encode(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "word", "encode", "21", "-t", "3")
@@ -120,6 +133,12 @@ class TestWord:
         assert all(row[3].count("; ") == t - 1 for row in rows)
         if rows:
             assert rows[-1][3:] == ["; " * (t - 1), payload["output"]]
+
+    @pytest.mark.parametrize("output_format, perm, t", sorted(TRACE_SHA256))
+    def test_trace_is_byte_stable(self, capsys, output_format, perm, t):
+        code, out, err = run(capsys, "--format", output_format, "word", "encode", perm, "-t", t, "--trace")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == TRACE_SHA256[output_format, perm, t], out
 
     def test_decode(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "word", "decode", "ABCD", "-t", "3")
@@ -495,6 +514,21 @@ class TestUsage:
             main(["--tolerance", "nan", "asymptote"])
         assert excinfo.value.code == 2
         assert "finite" in capsys.readouterr().err
+
+
+def readme_command_lines():
+    """The lines of the sh block under README's "## Command line"."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line", readme_command_lines())
+    def test_command_line_example_runs(self, capsys, line):
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "stackwords"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
 
 
 _small = st.integers(-2, 7).map(str)

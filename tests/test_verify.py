@@ -274,6 +274,12 @@ def test_the_231_check_belongs_to_permutation_statistics(monkeypatch):
     assert not any(mismatch in w for w in structure.witnesses)
 
 
+def test_only_families_that_need_n_at_least_1_start_there():
+    starts = {family.name: family(top=3).sizes.start for family in verify._SWEEPING.values()}
+    assert {name for name, start in starts.items() if start} == {"descent_refinement_oracle", "placement_membership"}
+    assert set(starts.values()) == {0, 1}
+
+
 # the checks that run in the forked child: this module's own, not in _SWEEPING
 _CHILD_FAMILIES = [
     check.__name__.removeprefix("check_") for check in verify.ALL_CHECKS if check not in verify._SWEEPING
