@@ -132,34 +132,6 @@ class SeriesRun:
 _LETTER_OF_CODE = bytes.maketrans(bytes(range(len(MOVE_LETTERS))), MOVE_LETTERS.encode("ascii"))
 
 
-# The replay builds one MachineStep per move through its slot descriptors:
-# the frozen __init__ makes one object.__setattr__ call per field, which
-# the replay would pay at every move. The result is the same frozen
-# instance (same type, equality, hash and repr), and it still refuses
-# assignment. The setters are default arguments so that each call reads
-# them as locals.
-def _machine_step(
-    step: int,
-    letter: str,
-    value: int,
-    stacks: tuple[tuple[int, ...], ...],
-    output: tuple[int, ...],
-    _new=object.__new__,
-    _step=MachineStep.step.__set__,
-    _letter=MachineStep.letter.__set__,
-    _value=MachineStep.value.__set__,
-    _stacks=MachineStep.stacks.__set__,
-    _output=MachineStep.output.__set__,
-) -> MachineStep:
-    record = _new(MachineStep)
-    _step(record, step)
-    _letter(record, letter)
-    _value(record, value)
-    _stacks(record, stacks)
-    _output(record, output)
-    return record
-
-
 def run_series_machine(p: Sequence[int], stacks: int, record_steps: bool = False) -> SeriesRun:
     """
     Pass p through ``stacks`` stacks placed in series under the greedy
@@ -258,7 +230,7 @@ def _replay_steps(p: Perm, codes: bytes, alphabet: str) -> tuple[MachineStep, ..
             shown[code] = target[-1]
         else:
             out += (moved,)
-        steps.append(_machine_step(step, alphabet[code], moved, tuple(shown), out))
+        steps.append(MachineStep(step, alphabet[code], moved, tuple(shown), out))
     return tuple(steps)
 
 

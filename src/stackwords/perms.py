@@ -130,6 +130,8 @@ def _pattern_links(q: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # (the slots of the two sentinels) if there is none.
     k = len(q)
     position = {v: j for j, v in enumerate(q)}
+    if len(position) < k:
+        raise _repeated_value(q)
     below, above = [], []
     seen: list[int] = []  # the values of q[:j], sorted
     for v in q:
@@ -140,12 +142,19 @@ def _pattern_links(q: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(below), tuple(above)
 
 
+def _repeated_value(q: Sequence[int]) -> ValueError:
+    v = next(v for j, v in enumerate(q) if v in q[:j])
+    return ValueError(f"repeated value {v} in pattern {tuple(q)}")
+
+
 def contains_pattern(p: Sequence[int], q: Sequence[int]) -> bool:
     """
     True iff some subsequence of p is order-isomorphic to q. Exhaustive
     search with early pruning, depth first in one loop that keeps a resume
     position per pattern entry instead of recursing, so long patterns do
     not reach the recursion limit; meant for desk-scale inputs only.
+    A q that repeats a value raises ValueError naming it, unless q is
+    empty or longer than p, where the answer does not depend on q's order.
 
     >>> contains_pattern((2, 3, 4, 1), (2, 3, 1))
     True
@@ -162,6 +171,8 @@ def contains_pattern(p: Sequence[int], q: Sequence[int]) -> bool:
         # p itself is the only candidate: it must rise along q's order of
         # values. This skips the links, whose cache one-off full-length
         # patterns would only churn.
+        if len(set(q)) < k:
+            raise _repeated_value(q)
         order = sorted(range(k), key=q.__getitem__)
         return all(p[a] < p[b] for a, b in zip(order, order[1:]))
     # A candidate for pattern position j extends the chosen prefix iff it

@@ -325,6 +325,22 @@ class TestStepRecords:
                     if code < t:
                         pushed[code].append(i)
 
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_every_step_comes_from_the_constructor(self, t, monkeypatch):
+        calls = 0
+        init = MachineStep.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MachineStep, "__init__", counting_init)
+        for p in [(), (1,), (2, 1), (2, 3, 1), (3, 1, 4, 5, 2), (6, 1, 5, 2, 4, 3, 7)]:
+            calls = 0
+            steps = run_series_machine(p, t, record_steps=True).steps
+            assert calls == len(steps) == (t + 1) * len(p), (p, t)
+
     def test_slotted_step_supports_replace(self):
         step = run_series_machine((2, 1), 1, record_steps=True).steps[1]
         assert not hasattr(step, "__dict__")

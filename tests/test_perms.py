@@ -136,6 +136,7 @@ class TestPatterns:
         assert contains_pattern((2, 1), ())
         assert contains_pattern((), ())
         assert not contains_pattern((2, 1), (1, 2, 3))
+        assert not contains_pattern((2, 1), (1, 1, 1))  # too long to need an order
 
     def test_against_oracle_exhaustively(self):
         patterns = [q for k in range(4) for q in itertools.permutations(range(1, k + 1))]
@@ -181,6 +182,21 @@ class TestPatterns:
     def test_full_length_pattern_on_other_values(self):
         assert contains_pattern((10, 30, 20), (1, 3, 2))
         assert not contains_pattern((10, 30, 20), (2, 1, 3))
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            ((1, 2, 3), (1, 1)),  # the search, whose links would give equal values one slot
+            ((1, 2, 3), (1, 2, 2)),
+            ((3, 1, 2, 4), (2, 1, 2)),
+            ((1, 2), (1, 1)),  # the k == n shortcut, which would read a tie as an order
+            ((2, 1), (1, 1)),
+            ((1, 2, 3), (3, 1, 3)),
+        ],
+    )
+    def test_repeated_pattern_value_raises(self, p, q):
+        with pytest.raises(ValueError, match=f"repeated value {q[-1]}"):
+            contains_pattern(p, q)
 
     def test_avoiders_are_catalan_many(self):
         for n in range(8 + 1):
