@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .perms import Perm, check_permutation
-from .words import MOVE_LETTERS, StackWord, decode, default_alphabet
+from .words import MOVE_LETTERS, StackWord, _move_codes, decode, default_alphabet
 
 __all__ = [
     "stack_sort",
@@ -242,15 +242,15 @@ def encode(p: Sequence[int], stacks: int) -> StackWord:
 def is_genuine_word(word: StackWord) -> bool:
     """
     True iff the word is the actual trace of some permutation, i.e.
-    re-encoding its decoded permutation reproduces it. Candidate words
-    from :func:`stackwords.words.enumerate_a_placements` typically fail this.
+    re-encoding its decoded permutation reproduces it, move code for move
+    code, over whatever window of the move letters the word uses. Candidate
+    words from :func:`stackwords.words.enumerate_a_placements` typically
+    fail this.
     """
     try:
         q = decode(word)
     except ValueError:
         return False
     again = encode(q, word.stacks)
-    if word.alphabet == again.alphabet:  # the standard letters: compare them as they are
-        return again.letters == word.letters
-    return again.indices() == word.indices()
+    return _move_codes(again.letters, again.alphabet) == _move_codes(word.letters, word.alphabet)
 

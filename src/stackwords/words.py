@@ -6,7 +6,11 @@ trace is a word with exactly n copies of each of t+1 letters. Letters are
 uppercase, in move order: the first letter pushes from the input onto the
 first stack, each middle letter moves a stack top to the next stack, the
 last letter emits from the final stack to the output. The standard
-alphabet for t stacks is ``"AB"``, ``"ABC"``, ``"ABCD"``, ...
+alphabet for t stacks is ``"AB"``, ``"ABC"``, ``"ABCD"``, ... Every
+alphabet is a window of the move letters ``A`` to ``Y``: a run of
+consecutive ones, such as ``"BCD"`` for the projection of a 3-stack
+word. One cached translate table per window turns letters into move
+codes, and it refuses any other alphabet.
 
 Every trace satisfies the ballot condition: in each prefix the letter
 counts weakly decrease along the alphabet (the i-th occurrence of each
@@ -52,10 +56,11 @@ def default_alphabet(stacks: int) -> str:
 class StackWord:
     """
     A word over an ordered move alphabet. ``alphabet`` lists the t+1
-    letters in move order; a projection may use a shifted alphabet such
-    as ``"BCD"`` for a 2-stack word. The constructor does not validate:
-    use :func:`validate_word` for checked construction. Words are held in
-    bulk, so they are slotted: no per-instance ``__dict__``.
+    letters in move order, a window of the move letters; a projection
+    uses a shifted one such as ``"BCD"`` for a 2-stack word. The
+    constructor does not validate: use :func:`validate_word` for checked
+    construction. Words are held in bulk, so they are slotted: no
+    per-instance ``__dict__``.
     """
 
     letters: str
@@ -71,16 +76,41 @@ class StackWord:
 
     def indices(self) -> tuple[int, ...]:
         """Letters as positions in the alphabet (0 = input push)."""
-        pos = {ch: i for i, ch in enumerate(self.alphabet)}
-        try:
-            return tuple(pos[ch] for ch in self.letters)
-        except KeyError as exc:
-            letter = exc.args[0]
-            at = self.letters.index(letter) + 1
-            raise ValueError(f"unknown letter {letter!r} at position {at}, not in alphabet {self.alphabet!r}") from None
+        return tuple(_known_codes(self.letters, self.alphabet))
 
     def __str__(self) -> str:
         return self.letters
+
+
+_UNKNOWN = 255  # the move code of every character that is not a letter
+
+
+@functools.lru_cache(maxsize=64)
+def _letter_codes(alphabet: str) -> bytes:
+    # a bytes.translate table taking each letter, as its latin-1 byte, to
+    # its position in the alphabet and every other byte to _UNKNOWN. Only
+    # a window of MOVE_LETTERS has one; "" passes this test too, so
+    # validate_word and decode check the stack count first.
+    if alphabet not in MOVE_LETTERS:
+        raise ValueError(f"alphabet {alphabet!r} is not a run of consecutive move letters")
+    table = bytearray([_UNKNOWN]) * 256
+    for i, ch in enumerate(alphabet):
+        table[ord(ch)] = i
+    return bytes(table)
+
+
+def _move_codes(letters: str, alphabet: str) -> bytes:
+    # each letter's position in the alphabet; a character that is not
+    # latin-1 encodes as "?", so it is _UNKNOWN too and positions stay aligned
+    return letters.encode("latin-1", "replace").translate(_letter_codes(alphabet))
+
+
+def _known_codes(letters: str, alphabet: str) -> bytes:
+    codes = _move_codes(letters, alphabet)
+    at = codes.find(_UNKNOWN) + 1
+    if at:
+        raise ValueError(f"unknown letter {letters[at - 1]!r} at position {at}, not in alphabet {alphabet!r}")
+    return codes
 
 
 def _ballot_scan(letters: str, alphabet: str) -> tuple[list[int], int]:
@@ -88,11 +118,9 @@ def _ballot_scan(letters: str, alphabet: str) -> tuple[list[int], int]:
     # the 1-based position of the first letter that is not in the alphabet
     # or that outnumbers the letter before it, which is the move that pops
     # an empty stack (0 if there is none; the counts stop at that letter).
-    pos = {ch: i for i, ch in enumerate(alphabet)}
     counts = [0] * len(alphabet)
-    for at, ch in enumerate(letters, start=1):
-        i = pos.get(ch)
-        if i is None:
+    for at, i in enumerate(_move_codes(letters, alphabet), start=1):
+        if i == _UNKNOWN:
             return counts, at
         counts[i] += 1
         if i and counts[i] > counts[i - 1]:
@@ -102,8 +130,9 @@ def _ballot_scan(letters: str, alphabet: str) -> tuple[list[int], int]:
 
 def validate_word(text: str, stacks: int, alphabet: str | None = None) -> StackWord:
     """
-    Parse and validate a stack word: known letters only, equal letter
-    counts, and the ballot condition on every prefix.
+    Parse and validate a stack word: an alphabet of t+1 consecutive move
+    letters (the standard one by default), known letters only, equal
+    letter counts, and the ballot condition on every prefix.
 
     >>> validate_word("AABB", 1).entries
     2
@@ -117,8 +146,6 @@ def validate_word(text: str, stacks: int, alphabet: str | None = None) -> StackW
         alphabet = standard
     if len(alphabet) != stacks + 1:
         raise ValueError(f"alphabet {alphabet!r} does not have {stacks + 1} letters")
-    if len(set(alphabet)) != len(alphabet):
-        raise ValueError(f"alphabet {alphabet!r} repeats a letter")
     counts, at = _ballot_scan(text, alphabet)
     if at:
         ch = text[at - 1]
@@ -200,22 +227,6 @@ def forbidden_factor_violations(word: StackWord) -> list[tuple[str, int]]:
     return hits
 
 
-_UNKNOWN = 255  # the code of every byte that is not a letter
-
-
-@functools.lru_cache(maxsize=64)
-def _letter_codes(alphabet: str) -> bytes | None:
-    # a bytes.translate table taking each letter, as its latin-1 byte, to
-    # its position and every other byte to _UNKNOWN; None if a letter is
-    # not latin-1 or there are too many letters for a position to fit
-    table = bytearray([_UNKNOWN]) * 256
-    for i, ch in enumerate(alphabet):
-        if i >= _UNKNOWN or ord(ch) > 255:
-            return None
-        table[ord(ch)] = i
-    return bytes(table)
-
-
 def decode(word: StackWord) -> tuple[int, ...]:
     """
     Replay a word with anonymous tokens and read off the permutation it
@@ -226,7 +237,9 @@ def decode(word: StackWord) -> tuple[int, ...]:
     exactly (the machine emits such a p in sorted order). Any ballot word
     replays without error, but the result is only meaningful as "the
     permutation this word would sort"; to test whether the word really is
-    a trace, see :func:`stackwords.machine.is_genuine_word`.
+    a trace, see :func:`stackwords.machine.is_genuine_word`. The alphabet
+    must be a window of the move letters, and an unknown letter is named
+    before the replay starts.
 
     >>> decode(validate_word("AABB", 1))
     (2, 1)
@@ -236,15 +249,7 @@ def decode(word: StackWord) -> tuple[int, ...]:
     t = word.stacks
     if t < 1:
         raise ValueError(f"cannot replay a word over the {len(word.alphabet)}-letter alphabet {word.alphabet!r}")
-    table = _letter_codes(word.alphabet)
-    codes: bytes | tuple[int, ...] | None = None
-    if table is not None:
-        try:
-            codes = word.letters.encode("latin-1").translate(table)
-        except UnicodeEncodeError:  # a letter that is not latin-1 is unknown
-            pass
-    if codes is None or _UNKNOWN in codes:
-        codes = word.indices()  # names the first unknown letter, or maps an alphabet with no table
+    codes = _known_codes(word.letters, word.alphabet)
     stacks: list[list[int]] = [[] for _ in range(t)]
     first, last = stacks[0], stacks[t - 1]
     value_of = [0] * codes.count(0)  # by token, in input order

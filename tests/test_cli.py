@@ -362,12 +362,12 @@ class TestAsymptote:
 # change that means to alter the report updates these and says so in
 # CHANGES.md; any other byte change fails here.
 QUICK_REPORT_SHA256 = {
-    "text": "b0b6079ad33c42aacb71aeae884777be5c6ca17c88914cc400d817a8c4465e47",
-    "json": "66003859a012bd505cc4982ed6f8060067266d9ec413843a9175dff6dd1772f6",
-    "csv": "bdcf30eb866ff59b428743b74555c7f0d560f732c4d6c3712e6902d17a181f86",
+    "text": "03c4914694c54e5b235f33c2204b56490a1998cdc3c0b442047f22b4278e2798",
+    "json": "29390348c6ff85f34c5084e9ee2ed644818c3616c7bffe569f7dbc682447792f",
+    "csv": "1dc9e3940537ee3ea32158212c1d70dfb19ec02066b52119154472a26fdadca8",
 }
 # the same for verify --level full, in text only
-FULL_REPORT_SHA256 = "aeb5012c8c624690d7406bf8e0b8c73b9dfa58bedaf2e0d1421e16d787a8d5eb"
+FULL_REPORT_SHA256 = "0d97e7fa8fc65a1c4bacf743cf9ca239be229b98bbebc68326ec25118973d19d"
 
 
 class TestVerify:

@@ -397,7 +397,7 @@ class TestEncode:
 
     def test_both_comparisons_agree_with_the_index_comparison(self, monkeypatch):
         # every candidate A-placement of every projection with n <= 6, over
-        # ABCD (letters compared) and shifted to BCDE (indices compared)
+        # ABCD and shifted to BCDE: the move codes are compared either way
         def by_indices(word):
             try:
                 q = decode(word)
@@ -422,6 +422,5 @@ class TestEncode:
         indices = StackWord.indices
         monkeypatch.setattr(StackWord, "indices", lambda self: calls.append(self) or indices(self))
         assert [is_genuine_word(w) for w in candidates] == expected
-        assert calls == []  # standard letters: no index tuples built
         assert [is_genuine_word(w) for w in shifted] == expected
-        assert len(calls) >= sum(expected)
+        assert calls == []  # no index tuples built over either alphabet
