@@ -17,7 +17,6 @@ from .machine import is_t_stack_sortable, stack_sort
 from .perms import DEFAULT_ENUMERATION_LIMIT, Perm, all_permutations, descent_count
 
 __all__ = [
-    "binomial",
     "catalan",
     "two_stack_count",
     "two_stack_count_by_descents",
@@ -30,15 +29,6 @@ __all__ = [
     "stack_sort_preimages",
     "image_fertilities",
 ]
-
-
-def binomial(a: int, b: int) -> int:
-    """C(a, b), with 0 for b < 0 or b > a."""
-    if a < 0:
-        raise ValueError(f"negative upper index {a}")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 def _exact_div(numerator: int, denominator: int, what: str) -> int:
@@ -110,7 +100,7 @@ def bound_summand(n: int, k: int) -> int:
     >>> [bound_summand(4, k) for k in (1, 2)]
     [20, 40]
     """
-    return two_stack_count_by_descents(n, k - 1) * binomial(2 * n - 2 * k, n - 1)
+    return two_stack_count_by_descents(n, k - 1) * math.comb(2 * n - 2 * k, n - 1)
 
 
 def three_stack_bound(n: int) -> int:
@@ -136,7 +126,7 @@ def three_stack_bound(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    term = binomial(2 * n - 2, n - 1)  # bound_summand(n, 1), as N(n, 1) = 1
+    term = math.comb(2 * n - 2, n - 1)  # bound_summand(n, 1), as N(n, 1) = 1
     total = term
     for k in range(1, (n + 1) // 2):
         num = (n + k) * (n + 1 - k) * (2 * n - 2 * k + 1) * (n - 2 * k + 1) * (n - 2 * k)

@@ -144,8 +144,6 @@ def _golden_section(lo: float, hi: float, tolerance: float) -> tuple[float, int]
 
 def _derivative_bisection(lo: float, hi: float, tolerance: float) -> tuple[float, int]:
     a, b = lo, hi
-    if _log_growth_slope(a) <= 0.0 or _log_growth_slope(b) >= 0.0:
-        raise RuntimeError("log growth rate is not increasing-then-decreasing on the interval")
     iterations = 0
     while b - a > tolerance:
         iterations += 1

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import signal
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .counting import (
-    binomial,
     bound_summand,
     brute_force_count,
     brute_force_image_descent_counts,
@@ -69,7 +69,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    witnesses: list[str] = field(default_factory=list)
+    witnesses: list[str]
 
 
 def _result(name: str, detail: str, witnesses: list[str]) -> CheckResult:
@@ -147,9 +147,6 @@ class _Family:
         self.detail = self.detail.format(top=top)
         self.bad: list[str] = []
         self.error: Exception | None = None
-
-    def visit(self, seen: _Seen) -> None:
-        pass
 
     def finish(self, n: int) -> None:
         pass
@@ -410,7 +407,7 @@ class _PlacementMembership(_Family):
             v = StackWord(v_letters, "BCD")
             candidates = {w.letters for w in enumerate_a_placements(v, n)}
             k = count_factor(v, "BB") + 1
-            expected = binomial(2 * n - 2 * k, n - 1)
+            expected = math.comb(2 * n - 2 * k, n - 1)
             if len(candidates) != expected:
                 self.bad.append(f"v={v_letters}: {len(candidates)} candidates != C(2n-2k, n-1) = {expected}")
             for p, w in members:
@@ -455,7 +452,7 @@ def check_bound_inequalities(top3: int, top_trivial: int) -> CheckResult:
             for q, fertility in image_fertilities(n):
                 d = descent_count(q)
                 tallies[d] = tallies.get(d, 0) + fertility
-                cap = binomial(2 * n - 2 * (d + 1), n - 1)
+                cap = math.comb(2 * n - 2 * (d + 1), n - 1)
                 if fertility > cap:
                     bad.append(f"n={n} q={format_permutation(q)}: {fertility} preimages exceed per-image cap {cap}")
             for d, tally in tallies.items():

@@ -308,7 +308,7 @@ def enumerate_a_placements(v: StackWord, entries: int) -> Iterator[StackWord]:
       immediately after a non-final B (an A after any other letter would
       create a CA or DA factor), giving n admissible slots.
 
-    The stream has exactly binomial(2n-2k, n-1) distinct words. They are
+    The stream has exactly C(2n-2k, n-1) distinct words. They are
     candidates only: each genuine 3-stack trace with projection v appears,
     but most candidates are not the trace of any permutation.
     """

@@ -24,7 +24,6 @@ PUBLIC = [
     "SeriesRun",
     "StackWord",
     "all_permutations",
-    "binomial",
     "bound_nth_root",
     "bound_summand",
     "brute_force_count",

@@ -268,6 +268,15 @@ class TestCount:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    def test_limit_flag_lowers_the_limit(self, capsys):
+        code, out, err = run(capsys, "--limit", "6", "count", "-n", "7", "-t", "1")
+        assert (code, out) == (2, "")
+        assert "exceeds enumeration limit 6" in err
+
+    def test_limit_flag_admits_n_up_to_the_limit(self, capsys):
+        code, out, err = run(capsys, "--limit", "7", "count", "-n", "7", "-t", "2", "--mode", "brute")
+        assert (code, out, err) == (0, "brute-force count: 1938\n", "")
+
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "count", "-n", "4", "-t", "1", "--mode", "formula")
         assert code == 0
@@ -346,6 +355,21 @@ class TestAsymptote:
         roots = {row["n"]: row["bound_nth_root"] for row in payload["convergence"]}
         assert sorted(roots) == [10, 50, 200, 1000, 2000]
         assert 11.5 < roots[2000] < 12.6
+
+    def test_a_coarser_tolerance(self, capsys):
+        code, out, err = run(capsys, "--format", "json", "--tolerance", "1e-6", "asymptote")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["tolerance"] == 1e-6
+        assert payload["iterations"] == 28
+        assert abs(payload["x_star_bisection"] - payload["x_star_closed_form"]) <= 1e-6
+
+    def test_golden_section_stops_at_46_iterations_below_1e_10(self, capsys):
+        # the probes compare equal before the bracket reaches the tolerance
+        code, out, err = run(capsys, "--format", "json", "--tolerance", "1e-12", "asymptote")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["tolerance"], payload["iterations"]) == (1e-12, 46)
 
     def test_csv_convergence_table(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "asymptote")

@@ -9,7 +9,6 @@ import stackwords.counting as counting
 from stackwords import verify
 from stackwords.counting import (
     _exact_div,
-    binomial,
     bound_summand,
     brute_force_count,
     brute_force_image_descent_counts,
@@ -30,24 +29,6 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 TWO_STACK = [1, 2, 6, 22, 91, 408, 1938, 9614]
 THREE_STACK = [1, 2, 6, 24, 114, 606, 3494, 21426]
 THREE_STACK_BOUND = [1, 2, 10, 60, 419, 3220, 26520, 230040, 2077669]
-
-
-class TestBinomial:
-    @pytest.mark.parametrize("a, b, expected", [(4, 2, 6), (0, 0, 1), (12, 4, 495)])
-    def test_values(self, a, b, expected):
-        assert binomial(a, b) == expected
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(4, -1) == 0
-        assert binomial(4, 5) == 0
-
-    def test_negative_upper_index(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    @given(st.integers(1, 60), st.integers(0, 60))
-    def test_pascal(self, a, b):
-        assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
 
 
 class TestCatalan:
@@ -86,6 +67,10 @@ class TestByDescents:
     def test_out_of_range_is_zero(self):
         assert two_stack_count_by_descents(4, -1) == 0
         assert two_stack_count_by_descents(4, 4) == 0
+
+    def test_rejects_nonpositive_length(self):
+        with pytest.raises(ValueError):
+            two_stack_count_by_descents(0, 0)
 
     @staticmethod
     def factorial_form(n, k):
@@ -303,6 +288,14 @@ class TestPreimageEngine:
         assert list(counting._west_splits((-4,))) == [((), ())]
         # a running maximum started at 0 would drop the last two
         assert list(counting._west_splits((-3, -2, -1))) == [((), (-3, -2)), ((-3,), (-2,)), ((-3, -2), ())]
+
+    def test_fertilities_at_length_0(self):
+        # the empty permutation is its own image, with itself as its one preimage
+        assert list(image_fertilities(0)) == [((), 1)]
+
+    def test_fertilities_reject_a_negative_length(self):
+        with pytest.raises(ValueError):
+            next(image_fertilities(-1))
 
     def test_fertilities_are_those_of_the_preimage_lists(self):
         for n in (6, 7):

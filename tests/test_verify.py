@@ -3,13 +3,16 @@ import math
 import os
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import stackwords.counting as counting
 import stackwords.verify as verify
 from stackwords.cli import main
-from stackwords.machine import is_t_stack_sortable, stack_sort
+from stackwords.counting import two_stack_count
+from stackwords.growth import growth_rate, maximize_growth_rate
+from stackwords.machine import is_t_stack_sortable, run_series_machine, stack_sort
 from stackwords.perms import all_permutations, format_permutation
 from stackwords.words import StackWord
 
@@ -131,6 +134,84 @@ def test_engine_faults_name_the_check_that_caught_them(monkeypatch, case, caught
     monkeypatch.setattr(verify, name, wrong)
     result = getattr(verify, f"check_{family}")(**verify.BOUNDS["quick"][family])
     assert any(caught_by in witness for witness in result.witnesses), result.witnesses
+
+
+def _reversed_trace(run):
+    # a machine whose output is right but whose trace pops before it pushes
+    return replace(run, word=replace(run.word, letters=run.word.letters[::-1]))
+
+
+# One case per clause that no _SABOTAGE case reaches: the family, the wrong
+# dependencies, and the text of that clause's witness.
+_CLAUSE_SABOTAGE = {
+    "trivial_containment": (
+        "permutation_statistics",
+        {"contains_pattern": lambda p, q: False},
+        "trivial containment failed",
+    ),
+    "not_symmetric": (
+        "descent_refinement_algebra",
+        # the right row sums, all in d = 0
+        {"two_stack_count_by_descents": lambda n, d: 0 if d else two_stack_count(n)},
+        "descent counts not symmetric",
+    ),
+    "not_n_minus_1_sortable": (
+        "sortability_structure",
+        {"stack_sort": lambda p: p},
+        "not (n-1)-stack sortable",
+    ),
+    "invalid_trace": (
+        "series_machine_equivalence",
+        {"run_series_machine": lambda p, t: _reversed_trace(run_series_machine(p, t))},
+        "invalid trace",
+    ),
+    "grid_mismatch": (
+        "growth_function",
+        {"growth_rate_unsimplified": lambda x: 1.0},
+        "vs unsimplified",
+    ),
+    # both forms wrong alike, so the grid still agrees
+    "left_endpoint": (
+        "growth_function",
+        {"growth_rate": lambda x: 6.75, "growth_rate_unsimplified": lambda x: 6.75},
+        "left endpoint 6.75 != 4",
+    ),
+    "right_endpoint": (
+        "growth_function",
+        {"growth_rate": lambda x: 4.0, "growth_rate_unsimplified": lambda x: 4.0},
+        "right endpoint 4.0 != 27/4",
+    ),
+    "maximum_window": (
+        "growth_function",
+        {"maximize_growth_rate": lambda tol, method: replace(maximize_growth_rate(tol, method), g_star=12.6)},
+        "maximum 12.6 not within 5e-5 of 12.53296",
+    ),
+    "summand_error_not_decreasing": (
+        "growth_bridge",
+        {"summand_nth_root": lambda n, x: growth_rate(x)},
+        "summand root error not decreasing",
+    ),
+    "summand_error_above_3_percent": (
+        "growth_bridge",
+        # errors 0.2, 0.08 and 0.04: decreasing, but 4% at n = 1000
+        {"summand_nth_root": lambda n, x: growth_rate(x) * (1 + 40 / n)},
+        "(> 3%)",
+    ),
+    "bound_root_above_summand_cap": (
+        "growth_bridge",
+        {"bound_nth_root": lambda n: 20.0 + n / 1000},
+        "bound root at n=10 exceeds g_star * n^(2/n)",
+    ),
+}
+
+
+@pytest.mark.parametrize("family, wrong, witness", list(_CLAUSE_SABOTAGE.values()), ids=list(_CLAUSE_SABOTAGE))
+def test_each_clause_can_fail(monkeypatch, family, wrong, witness):
+    for name, value in wrong.items():
+        monkeypatch.setattr(verify, name, value)
+    result = getattr(verify, f"check_{family}")(**verify.BOUNDS["quick"][family])
+    assert result.passed is False
+    assert any(witness in w for w in result.witnesses), result.witnesses
 
 
 def test_bound_inequalities_sorts_each_permutation_once(monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import re
 import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import stackwords.words as words_module
 from stackwords import verify
-from stackwords.counting import binomial, image_fertilities
+from stackwords.counting import image_fertilities
 from stackwords.machine import encode, is_genuine_word, is_t_stack_sortable, stack_sort
 from stackwords.words import (
     MAX_STACKS,
@@ -419,13 +420,13 @@ class TestPlacements:
         v = validate_word("BCBDCD", 2, alphabet="BCD")
         words = [w.letters for w in enumerate_a_placements(v, 2)]
         assert words == ["ABACBDCD", "AABCBDCD"]
-        assert len(words) == binomial(2 * 2 - 2 * 1, 2 - 1)
+        assert len(words) == comb(2 * 2 - 2 * 1, 2 - 1)
 
     def test_forced_insertions_inside_bb_factor(self):
         v = validate_word("BBCBCDCDD", 2, alphabet="BCD")
         words = [w.letters for w in enumerate_a_placements(v, 3)]
         assert words == ["ABAABCBCDCDD"]  # one forced A up front, two inside BB
-        assert len(words) == binomial(2 * 3 - 2 * 2, 3 - 1)
+        assert len(words) == comb(2 * 3 - 2 * 2, 3 - 1)
 
     def test_too_many_bb_factors(self):
         v = validate_word("BBCCDD", 2, alphabet="BCD")
