@@ -86,18 +86,19 @@ def _family_name(check: Callable[..., CheckResult]) -> str:
 class _Seen:
     """
     One permutation of the sweep and what two or more families read from
-    it; a value that one family alone reads, that family computes itself.
-    Each value is computed on first use, at most once, and goes when the
-    sweep moves on to the next permutation. A value whose computation
-    raises is not kept, so every family that asks for it meets the
-    exception.
+    it: its image, sortability, stack words, descents and the projection
+    of its 3-stack trace. A value that one family alone reads, that
+    family computes itself. Each value is computed on first use, at most
+    once, and goes when the sweep moves on to the next permutation. A
+    value whose computation raises is not kept, so every family that asks
+    for it meets the exception.
     """
 
-    __slots__ = ("p", "n", "_identity", "_image", "_cur", "_passes", "_words", "_descents")
+    __slots__ = ("p", "n", "_identity", "_image", "_cur", "_passes", "_words", "_descents", "_projection")
 
     def __init__(self, p: tuple[int, ...], identity: tuple[int, ...]):
         self.p, self.n, self._identity = p, len(p), identity
-        self._image = self._descents = None
+        self._image = self._descents = self._projection = None
         self._cur, self._passes = p, 0  # the stack-sort iterates so far
         self._words: list[StackWord | None] = [None] * 4
 
@@ -125,6 +126,12 @@ class _Seen:
         if self._descents is None:
             self._descents = descent_count(self.p)
         return self._descents
+
+    def projection(self) -> StackWord:
+        """image_word(word(3)): the trace with its input pushes dropped."""
+        if self._projection is None:
+            self._projection = image_word(self.word(3))
+        return self._projection
 
 
 class _Family:
@@ -355,7 +362,7 @@ class _Projection(_Family):
     def visit(self, seen: _Seen) -> None:
         if not seen.sortable(3):
             return
-        projected = image_word(seen.word(3))
+        projected = seen.projection()
         direct = encode(seen.image(), 2)
         if projected.indices() != direct.indices():
             self.bad.append(
@@ -377,10 +384,8 @@ class _FactorDescentBijections(_Family):
         for t in (1, 2, 3):
             if count_factor(seen.word(t), "AA") != seen.descents():
                 self.bad.append(f"p={format_permutation(p)} t={t}: AA count != descents")
-        if seen.sortable(3):
-            v = image_word(seen.word(3))
-            if count_factor(v, "BB") != descent_count(seen.image()):
-                self.bad.append(f"p={format_permutation(p)}: BB count in projection != image descents")
+        if seen.sortable(3) and count_factor(seen.projection(), "BB") != descent_count(seen.image()):
+            self.bad.append(f"p={format_permutation(p)}: BB count in projection != image descents")
 
 
 def check_factor_descent_bijections(top: int) -> CheckResult:
@@ -394,27 +399,26 @@ class _PlacementMembership(_Family):
 
     def __init__(self, top: int):
         super().__init__(top)
-        self.by_projection: dict[str, list] = {}  # the 3-sortable p of one n, with their traces
+        # the traces of one n's 3-sortable p, as letters only: decode gives
+        # p back from its trace exactly (codec_roundtrip checks that)
+        self.by_projection: dict[StackWord, list[str]] = {}
 
     def visit(self, seen: _Seen) -> None:
         if seen.sortable(3):
-            w = seen.word(3)
-            self.by_projection.setdefault(image_word(w).letters, []).append((seen.p, w))
+            self.by_projection.setdefault(seen.projection(), []).append(seen.word(3).letters)
 
     def finish(self, n: int) -> None:
         by_projection, self.by_projection = self.by_projection, {}
-        for v_letters, members in by_projection.items():
-            v = StackWord(v_letters, "BCD")
+        for v, traces in by_projection.items():
             candidates = {w.letters for w in enumerate_a_placements(v, n)}
             k = count_factor(v, "BB") + 1
             expected = math.comb(2 * n - 2 * k, n - 1)
             if len(candidates) != expected:
-                self.bad.append(f"v={v_letters}: {len(candidates)} candidates != C(2n-2k, n-1) = {expected}")
-            for p, w in members:
-                if w.letters not in candidates:
-                    self.bad.append(
-                        f"p={format_permutation(p)}: trace {w.letters} missing from candidates of {v_letters}"
-                    )
+                self.bad.append(f"v={v.letters}: {len(candidates)} candidates != C(2n-2k, n-1) = {expected}")
+            for trace in traces:
+                if trace not in candidates:
+                    p = decode(StackWord(trace, "ABCD"))
+                    self.bad.append(f"p={format_permutation(p)}: trace {trace} missing from candidates of {v.letters}")
 
 
 def check_placement_membership(top: int) -> CheckResult:
@@ -608,13 +612,14 @@ def _run_beside(
 ) -> list[CheckResult]:
     """
     _run_checks(checks, row), in one forked child while work() runs in
-    this process; here, after work(), where os.fork is missing or fails.
+    this process; here, after work(), where there is no check to run or
+    os.fork is missing or fails.
     A child that ends without a complete result fails each of its
     families, with its exit status as the witness. The child is killed,
     if need be, and reaped before this returns or raises.
     """
     pid = None
-    if hasattr(os, "fork"):
+    if checks and hasattr(os, "fork"):
         read_end, write_end = os.pipe()
         sigmask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
         try:

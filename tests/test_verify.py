@@ -214,6 +214,19 @@ def test_each_clause_can_fail(monkeypatch, family, wrong, witness):
     assert any(witness in w for w in result.witnesses), result.witnesses
 
 
+def test_a_trace_missing_from_its_candidates_names_its_permutation(monkeypatch):
+    # placement_membership keeps only the trace letters and gets p back by
+    # decode: 231's trace is the one candidate of its projection, dropped here
+    real = verify.enumerate_a_placements
+    monkeypatch.setattr(
+        verify, "enumerate_a_placements", lambda v, n: (w for w in real(v, n) if w.letters != "ABAABCDCBDCD")
+    )
+    assert verify.check_placement_membership(top=3).witnesses == [
+        "v=BBCDCBDCD: 0 candidates != C(2n-2k, n-1) = 1",
+        "p=231: trace ABAABCDCBDCD missing from candidates of BBCDCBDCD",
+    ]
+
+
 def test_bound_inequalities_sorts_each_permutation_once(monkeypatch):
     # the t = 1, 2 and 3 brute counts and the image-descent tallies share
     # one n! sweep per n; the preimage engine sorts nothing
@@ -242,6 +255,14 @@ def _alone(check):
 @pytest.fixture(scope="module")
 def clean_alone():
     return [_alone(check) for check in verify.ALL_CHECKS]
+
+
+def test_each_check_reports_under_its_family_name(clean_alone):
+    # the name a result carries is written apart from its check's name;
+    # clean_alone called each check_<name> with BOUNDS["quick"][name]
+    names = list(verify.BOUNDS["quick"])
+    assert len(names) == 16
+    assert [(r.name, r.passed) for r in clean_alone] == [(name, True) for name in names]
 
 
 def test_shared_sweep_matches_each_family_alone(clean_alone):
@@ -304,10 +325,10 @@ def test_a_family_that_raises_leaves_the_sweep_to_the_others():
 
 def test_the_sweep_computes_each_word_once(monkeypatch, tmp_path):
     # One encode(p, t) per p and t <= 3, plus the image's 2-stack word for
-    # each 3-stack sortable p; the machine family keeps its own four runs
-    # per p. Families sweeping on their own encode about 8400 times.
-    # Each call appends its initial to one file, so the forked child's
-    # calls count too.
+    # each 3-stack sortable p, and one projection of that p's trace; the
+    # machine family keeps its own four runs per p. Families sweeping on
+    # their own encode about 8400 times. Each call appends its initial to
+    # one file, so the forked child's calls count too.
     log = os.open(tmp_path / "calls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def spy(name):
@@ -320,17 +341,19 @@ def test_the_sweep_computes_each_word_once(monkeypatch, tmp_path):
         monkeypatch.setattr(verify, name, counted)
 
     spy("encode")
+    spy("image_word")
     spy("run_series_machine")
     try:
         assert all(r.passed for r in verify.run_verification("quick"))
     finally:
         os.close(log)
     letters = Counter((tmp_path / "calls").read_text())
-    calls = {"encode": letters["e"], "run_series_machine": letters["r"]}
+    calls = {"encode": letters["e"], "image_word": letters["i"], "run_series_machine": letters["r"]}
     perms = sum(math.factorial(n) for n in range(7))  # n <= 6, the quick level's sweeps
     three_sortable = sum(is_t_stack_sortable(p, 3) for n in range(7) for p in all_permutations(n))
     assert (perms, three_sortable) == (874, 754)
     assert calls["encode"] <= 3 * perms + three_sortable
+    assert calls["image_word"] == three_sortable
     assert calls["run_series_machine"] == 4 * perms
 
 
@@ -485,6 +508,23 @@ def test_no_descriptor_is_left_open(monkeypatch, path):
             verify.run_verification("quick")
     assert sorted(os.listdir("/proc/self/fd")) == before
     _assert_no_child_left()
+
+
+def test_no_child_is_forked_when_every_entry_is_a_wrapper(monkeypatch, clean_alone):
+    # as in a traced benchmark run: the child would have no check to run
+    def wrapped(check):
+        @functools.wraps(check)
+        def run(**sizes):
+            return check(**sizes)
+
+        return run
+
+    def fork():
+        pytest.fail("forked a child with no check to run")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", tuple(wrapped(check) for check in verify.ALL_CHECKS))
+    monkeypatch.setattr(os, "fork", fork)
+    assert verify.run_verification("quick") == clean_alone
 
 
 @pytest.mark.parametrize("family", ["growth_function", "codec_roundtrip"])
