@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -343,8 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's one parser per process, built on its first call: parse_args
+    # keeps each call's values in the Namespace it returns, so later calls
+    # neither rebuild the parser nor leave its reference cycles behind
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)  # --help prints here, then raises SystemExit(0)
         code = args.handler(args)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -538,6 +539,56 @@ class TestUsage:
             main(["--tolerance", "nan", "asymptote"])
         assert excinfo.value.code == 2
         assert "finite" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    # main parses every call of a process with one parser, built on its first call
+
+    def test_parsers_are_built_during_the_first_call_only(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._parser.cache_clear()  # as in a fresh process, whatever ran before
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        per_call = []
+        for argv in (["sort", "231"], ["bound", "-n", "5"], ["word", "encode", "231"], ["asymptote"]):
+            before = len(built)
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "") and out
+            per_call.append(len(built) - before)
+        assert built[0] == "stackwords"
+        assert per_call == [len(built), 0, 0, 0]
+        assert cli.build_parser() is not cli.build_parser()  # still a fresh parser to any caller
+
+    def test_nothing_carries_over_between_calls(self, capsys):
+        sort_argv = ["sort", "2341", "-t", "2"]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "stackwords.cli", *sort_argv],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        ).stdout
+        assert fresh.startswith("result after 2 pass(es): 2134\n")
+
+        code, out, err = run(capsys, "--limit", "6", "count", "-n", "7", "-t", "1")
+        assert (code, out) == (2, "") and "exceeds enumeration limit 6" in err
+        assert run(capsys, "count", "-n", "7", "-t", "1", "--mode", "brute") == (0, "brute-force count: 429\n", "")
+
+        assert run(capsys, "--format", "csv", "asymptote")[1].startswith("n,bound_nth_root\r\n")
+        assert run(capsys, *sort_argv) == (0, fresh, "")
+
+        tolerances = [json.loads(run(capsys, "--format", "json", *flags, "asymptote")[1])["tolerance"]
+                      for flags in (["--tolerance", "1e-6"], [])]
+        assert tolerances == [1e-6, 1e-10]
+
+        for argv, status in ((["sort"], 2), (["--help"], 0), (["sort", "--help"], 0)):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == status
+            capsys.readouterr()
+            assert run(capsys, *sort_argv) == (0, fresh, "")
 
 
 def readme_command_lines():
