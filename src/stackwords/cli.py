@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
+from typing import Iterable
 
 from .counting import (
     brute_force_count,
@@ -49,9 +51,11 @@ CONVERGENCE_SAMPLES = (10, 50, 200, 1000, 2000)
 # Longest permutation that sort and word encode take; word decode takes
 # words of as many entries, (t+1) letters each. The worst case is
 # word encode --trace with 24 stacks: (t+1)n steps with up to n entries
-# each. On a decreasing permutation at n = 200 that is about 0.3 s in
-# text, 0.45 s in JSON and 0.55 s in CSV, and 49 MiB peak in JSON (30 MiB
-# in CSV, 23 MiB in text), on 2 CPUs with Python 3.11.7.
+# each. On a decreasing permutation at n = 200, with stdout to /dev/null,
+# the whole process takes about 0.3 s in text, 0.4 s in JSON and 0.45 s
+# in CSV, and peaks at 45.5 MiB in JSON, which builds every step row, and
+# 17.5 MiB in text and CSV, which print each step as it is replayed, on
+# 2 CPUs with Python 3.11.7.
 MAX_PERMUTATION_LENGTH = 200
 # the keys of each word encode --trace step row in JSON, and the CSV header
 STEP_COLUMNS = ("step", "letter", "value", "stacks", "output")
@@ -60,14 +64,16 @@ STEP_COLUMNS = ("step", "letter", "value", "stacks", "output")
 def _emit(
     args: argparse.Namespace,
     payload: dict,
-    text_lines: list[str],
+    text_lines: Iterable[str],
     table: str | None = None,
     columns: tuple[str, ...] | None = None,
 ) -> None:
     """
     Print the payload as JSON, or as CSV: the rows of ``payload[table]``
     (list cells joined with "; ") under a header of ``columns``, or of
-    the first row's keys, else one key/value row per entry.
+    the first row's keys, else one key/value row per entry. The text
+    lines may be an iterator, and so may the rows when ``columns`` is
+    given: each is printed as it is made.
     """
     if args.output_format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -147,23 +153,28 @@ def _cmd_word_encode(args: argparse.Namespace) -> int:
     # build only the form that is printed: step lines for text, else one
     # row per step under STEP_COLUMNS, whose stacks and output are lists
     # for JSON and, for CSV, cells in the input's one-line notation
-    # (compact digits for n <= 9), one stack per "; "-separated part
+    # (compact digits for n <= 9), one stack per "; "-separated part.
+    # Text lines and CSV rows are generators over the replayed steps, so
+    # each step prints as it is replayed; JSON needs the whole list.
+    lines: Iterable[str] = text
     table = None
     if args.trace and args.output_format == "text":
-        text.extend(
+        step_lines = (
             f"step {s.step}: {s.letter} moves {s.value}  stacks={[list(x) for x in s.stacks]} "
             f"out={list(s.output)}"
             for s in run.steps
         )
+        lines = itertools.chain(text, step_lines)
     elif args.trace:
         join = "".join if len(p) <= 9 else ",".join
         cell = list if args.output_format == "json" else lambda x: join(map(str, x))
-        payload["steps"] = [
+        rows = (
             dict(zip(STEP_COLUMNS, (s.step, s.letter, s.value, [cell(x) for x in s.stacks], cell(s.output))))
             for s in run.steps
-        ]
+        )
+        payload["steps"] = list(rows) if args.output_format == "json" else rows
         table = "steps"
-    _emit(args, payload, text, table, STEP_COLUMNS)
+    _emit(args, payload, lines, table, STEP_COLUMNS)
     return EXIT_OK
 
 

@@ -4,8 +4,10 @@ machine whose move trace is the stack word of a permutation.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .perms import Perm, check_permutation
 from .words import MOVE_LETTERS, StackWord, _move_codes, decode, default_alphabet
@@ -16,6 +18,7 @@ __all__ = [
     "is_t_stack_sortable",
     "min_sorting_passes",
     "MachineStep",
+    "MachineSteps",
     "SeriesRun",
     "run_series_machine",
     "encode",
@@ -122,10 +125,75 @@ class MachineStep:
 
 
 @dataclass(frozen=True, slots=True)
+class MachineSteps:
+    """
+    The steps of a traced run, replayed from its stack word on each read
+    rather than stored: it holds the run's checked input and its word, so
+    a run that is kept costs its word, not (t+1)n records.
+
+    Iterating yields one :class:`MachineStep` per move, in order. Within
+    one read a pop reuses the snapshot from before its push, and each step
+    shares the snapshots of the piles its move leaves alone. ``len`` is
+    the word's length. ``steps[i]`` takes an int, negative counting from
+    the end, replays from the first move and keeps nothing; a caller that
+    reads many steps should iterate once instead.
+    """
+
+    permutation: Perm
+    word: StackWord
+
+    def __len__(self) -> int:
+        return len(self.word.letters)
+
+    def __iter__(self) -> Iterator[MachineStep]:
+        # Replay the trace on top-first snapshot tuples. Each pile keeps the
+        # snapshots it has held, bottom-up: a push adds one tuple, and a pop
+        # goes back to the tuple from before the matching push instead of
+        # slicing a new one.
+        p, alphabet = self.permutation, self.word.alphabet
+        t = len(alphabet) - 1
+        held: list[list[tuple[int, ...]]] = [[()] for _ in range(t)]
+        shown: list[tuple[int, ...]] = [()] * t
+        out: tuple[int, ...] = ()
+        pos = 0
+        for step, code in enumerate(_move_codes(self.word.letters, alphabet), start=1):
+            if code:
+                source = held[code - 1]
+                moved = source.pop()[0]
+                shown[code - 1] = source[-1]
+            else:
+                moved = p[pos]
+                pos += 1
+            if code < t:
+                target = held[code]
+                target.append((moved,) + target[-1])
+                shown[code] = target[-1]
+            else:
+                out += (moved,)
+            yield MachineStep(step, alphabet[code], moved, tuple(shown), out)
+
+    def __getitem__(self, index: int) -> MachineStep:
+        size = len(self)
+        i = operator.index(index)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError(f"step index {index} outside a run of {size} steps")
+        return next(itertools.islice(self, i, None))
+
+
+@dataclass(frozen=True, slots=True)
 class SeriesRun:
+    """
+    The trace and output of one pass through the series machine. ``steps``
+    is None unless the run was made with ``record_steps``; then it is a
+    :class:`MachineSteps` view that replays the run's moves from ``word``
+    on each read, so every read yields equal records.
+    """
+
     word: StackWord
     output: Perm
-    steps: tuple[MachineStep, ...] | None = None
+    steps: MachineSteps | None = None
 
 
 # move code i is written as the i-th move letter, whatever the stack count
@@ -200,38 +268,7 @@ def run_series_machine(p: Sequence[int], stacks: int, record_steps: bool = False
     if piles != [[n + 1]] * t:  # an entry is left over, or a sentinel was emitted
         raise RuntimeError("internal error: the piles do not end on their sentinels alone")
     word = StackWord(codes.translate(_LETTER_OF_CODE).decode("ascii"), alphabet)
-    steps = _replay_steps(p, codes, alphabet) if record_steps else None
-    return SeriesRun(word, tuple(out), steps)
-
-
-def _replay_steps(p: Perm, codes: bytes, alphabet: str) -> tuple[MachineStep, ...]:
-    # Replay the trace on top-first snapshot tuples. Each pile keeps the
-    # snapshots it has held, bottom-up: a push adds one tuple, and a pop
-    # goes back to the tuple from before the matching push instead of
-    # slicing a new one. Every step shares the snapshots of the piles its
-    # move leaves alone (and the output, unless it emits).
-    t = len(alphabet) - 1
-    held: list[list[tuple[int, ...]]] = [[()] for _ in range(t)]
-    shown: list[tuple[int, ...]] = [()] * t
-    out: tuple[int, ...] = ()
-    pos = 0
-    steps = []
-    for step, code in enumerate(codes, start=1):
-        if code:
-            source = held[code - 1]
-            moved = source.pop()[0]
-            shown[code - 1] = source[-1]
-        else:
-            moved = p[pos]
-            pos += 1
-        if code < t:
-            target = held[code]
-            target.append((moved,) + target[-1])
-            shown[code] = target[-1]
-        else:
-            out += (moved,)
-        steps.append(MachineStep(step, alphabet[code], moved, tuple(shown), out))
-    return tuple(steps)
+    return SeriesRun(word, tuple(out), MachineSteps(p, word) if record_steps else None)
 
 
 def encode(p: Sequence[int], stacks: int) -> StackWord:

@@ -20,6 +20,7 @@ PUBLIC = [
     "GrowthMaximum",
     "MAX_STACKS",
     "MachineStep",
+    "MachineSteps",
     "Perm",
     "SeriesRun",
     "StackWord",

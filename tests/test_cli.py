@@ -92,6 +92,15 @@ TRACE_SHA256 = {
     ("csv", "", "3"): "2c8020416f3601c8df064e099350d1444266b9454158c5ebaee9cfb02edc62a9",
 }
 
+# word encode --trace at its worst case under the length cap, a decreasing
+# permutation of 200 through 24 stacks: (t+1)n = 5000 steps. Text lines and
+# CSV rows print as the steps are replayed; these digests pin their bytes.
+WORST_TRACE_ARGV = ["word", "encode", ",".join(map(str, range(200, 0, -1))), "-t", "24", "--trace"]
+WORST_TRACE_SHA256 = {
+    "text": "594336ccff491965615a08880ca6b9908a170e0aa56c155149c28f2db840068b",
+    "csv": "cbffd8d290fbacbc4fc7935662d39d386eb09ba8dbcd0f827c8d12d8d14c015d",
+}
+
 
 class TestWord:
     def test_encode(self, capsys):
@@ -140,6 +149,12 @@ class TestWord:
         code, out, err = run(capsys, "--format", output_format, "word", "encode", perm, "-t", t, "--trace")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == TRACE_SHA256[output_format, perm, t], out
+
+    @pytest.mark.parametrize("output_format", sorted(WORST_TRACE_SHA256))
+    def test_worst_case_trace_is_byte_stable(self, capsys, output_format):
+        code, out, err = run(capsys, "--format", output_format, *WORST_TRACE_ARGV)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == WORST_TRACE_SHA256[output_format]
 
     def test_decode(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "word", "decode", "ABCD", "-t", "3")
@@ -452,19 +467,25 @@ _TRACE_ARGV = ["--format", "csv", "word", "encode", "10,2,3,4,5,6,7,8,9,1,11", "
 
 class TestClosedPipe:
     # PYTHONUNBUFFERED set: the handler's own write meets the closed pipe;
-    # unset: the output is still buffered, and main's final flush meets it.
+    # unset: the output is still buffered, and main's final flush meets it,
+    # unless the output outgrows the buffer, as the worst-case trace does:
+    # then a write in the middle of the step replay meets it.
     # --help is written and flushed by the parser, inside parse_args.
     @pytest.mark.parametrize(
         "unbuffered, argv",
         [
             ("1", _TRACE_ARGV),
             ("", _TRACE_ARGV),
+            ("", WORST_TRACE_ARGV),
             ("1", ["--help"]),
             ("", ["--help"]),
             ("1", ["sort", "--help"]),
             ("", ["sort", "--help"]),
         ],
-        ids=["in_the_handler", "in_the_final_flush", "help", "help_buffered", "sort_help", "sort_help_buffered"],
+        ids=[
+            "in_the_handler", "in_the_final_flush", "in_the_step_replay",
+            "help", "help_buffered", "sort_help", "sort_help_buffered",
+        ],
     )
     def test_a_closed_stdout_exits_141_without_a_traceback(self, unbuffered, argv):
         read_end, write_end = os.pipe()

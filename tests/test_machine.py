@@ -1,6 +1,8 @@
+import collections.abc
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from stackwords import verify
 from stackwords.counting import image_fertilities
 from stackwords.machine import (
     MachineStep,
+    MachineSteps,
     SeriesRun,
     encode,
     is_genuine_word,
@@ -298,7 +301,7 @@ class TestStepRecords:
         for n in range(7):
             for p in itertools.permutations(range(1, n + 1)):
                 run = run_series_machine(p, t, record_steps=True)
-                assert isinstance(run.steps, tuple)
+                assert type(run.steps) is MachineSteps
                 assert len(run.steps) == len(run.word.letters) == (t + 1) * n
                 replay = replayed_steps(p, run.word.letters, run.word.alphabet)
                 for number, (step, (letter, value, stacks, output)) in enumerate(zip(run.steps, replay), start=1):
@@ -314,7 +317,7 @@ class TestStepRecords:
     def test_a_pop_reuses_the_snapshot_from_before_its_push(self, t):
         for n in range(7):
             for p in itertools.permutations(range(1, n + 1)):
-                steps = run_series_machine(p, t, record_steps=True).steps
+                steps = tuple(run_series_machine(p, t, record_steps=True).steps)  # one read
                 pushed = [[] for _ in range(t)]  # per pile, the indices of the steps that pushed onto it
                 for i, step in enumerate(steps):
                     code = ord(step.letter) - ord("A")
@@ -339,7 +342,49 @@ class TestStepRecords:
         for p in [(), (1,), (2, 1), (2, 3, 1), (3, 1, 4, 5, 2), (6, 1, 5, 2, 4, 3, 7)]:
             calls = 0
             steps = run_series_machine(p, t, record_steps=True).steps
+            assert calls == 0, (p, t)  # nothing is built until the steps are read
+            tuple(steps)
             assert calls == len(steps) == (t + 1) * len(p), (p, t)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_indexing_replays_the_records_of_a_full_read(self, t):
+        for p in [(), (1,), (2, 1), (2, 3, 1), (3, 1, 4, 5, 2), (6, 1, 5, 2, 4, 3, 7)]:
+            steps = run_series_machine(p, t, record_steps=True).steps
+            records = list(steps)
+            assert list(steps) == records  # a second read gives equal records
+            size = len(records)
+            assert len(steps) == size
+            for i in range(size):
+                assert steps[i] == records[i] and steps[i - size] == records[i - size], (p, t, i)
+            for outside in (size, -size - 1):
+                with pytest.raises(IndexError):
+                    steps[outside]
+
+    def test_the_view_is_a_frozen_slotted_record_without_sequence_mixins(self):
+        run = run_series_machine((3, 1, 4, 5, 2), 3, record_steps=True)
+        rerun = run_series_machine((3, 1, 4, 5, 2), 3, record_steps=True)
+        assert run == rerun and hash(run) == hash(rerun)
+        assert run.steps == MachineSteps((3, 1, 4, 5, 2), run.word)
+        assert run.steps.word is run.word
+        assert not hasattr(run.steps, "__dict__")
+        assert not isinstance(run.steps, collections.abc.Sequence)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.steps.word = None
+        with pytest.raises(TypeError):
+            run.steps[1:3]
+
+    def test_a_kept_traced_run_holds_no_step_records(self):
+        # eager step records held about 79 KB per run at this size
+        rng = random.Random(60)
+        perms = [tuple(rng.sample(range(1, 61), 60)) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            runs = [run_series_machine(p, 4, record_steps=True) for p in perms]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / len(runs) < 4096, held / len(runs)
 
     def test_slotted_step_supports_replace(self):
         step = run_series_machine((2, 1), 1, record_steps=True).steps[1]
