@@ -52,13 +52,14 @@ CONVERGENCE_SAMPLES = (10, 50, 200, 1000, 2000)
 # words of as many entries, (t+1) letters each. The worst case is
 # word encode --trace with 24 stacks: (t+1)n steps with up to n entries
 # each. On a decreasing permutation at n = 200, with stdout to /dev/null,
-# the whole process takes about 0.3 s in text, 0.4 s in JSON and 0.45 s
-# in CSV, and peaks at 45.5 MiB in JSON, which builds every step row, and
-# 17.5 MiB in text and CSV, which print each step as it is replayed, on
-# 2 CPUs with Python 3.11.7.
+# the whole process takes about 0.4 s in text and JSON and 0.55 s in CSV,
+# and peaks at 17.2-17.5 MiB in each format, since every format prints
+# each step row as it is replayed, on 2 CPUs with Python 3.11.7.
 MAX_PERMUTATION_LENGTH = 200
-# the keys of each word encode --trace step row in JSON, and the CSV header
+# the keys of each word encode --trace step row, and the CSV header
 STEP_COLUMNS = ("step", "letter", "value", "stacks", "output")
+# each step row as a text line; str() of its list cells
+STEP_LINE = "step {step}: {letter} moves {value}  stacks={stacks} out={output}"
 
 
 def _emit(
@@ -69,13 +70,24 @@ def _emit(
     columns: tuple[str, ...] | None = None,
 ) -> None:
     """
-    Print the payload as JSON, or as CSV: the rows of ``payload[table]``
-    (list cells joined with "; ") under a header of ``columns``, or of
-    the first row's keys, else one key/value row per entry. The text
-    lines may be an iterator, and so may the rows when ``columns`` is
-    given: each is printed as it is made.
+    Print the text lines, or the payload as JSON, or as CSV: the rows of
+    ``payload[table]`` (list cells joined with "; ") under a header of
+    ``columns``, or of the first row's keys, else one key/value row per
+    entry. The text lines and the table's rows may be iterators, read
+    once: each line or row is printed as it is made, so no format holds
+    the whole table. JSON prints the payload with the table emptied, its
+    rows dumped one by one between the table's brackets, which gives the
+    bytes of one ``json.dumps`` of the whole payload.
     """
-    if args.output_format == "json":
+    if args.output_format == "json" and table:
+        # split at the table's key, not at "[]", which another empty list
+        # such as word encode's "violations" may print too
+        head, key, tail = json.dumps({**payload, table: []}, sort_keys=True).partition(f'"{table}": [')
+        print(head + key, end="")
+        for i, row in enumerate(payload[table]):
+            print(", " * (i > 0) + json.dumps(row, sort_keys=True), end="")
+        print(tail)
+    elif args.output_format == "json":
         print(json.dumps(payload, sort_keys=True))
     elif args.output_format == "csv":
         writer = csv.writer(sys.stdout)
@@ -150,31 +162,21 @@ def _cmd_word_encode(args: argparse.Namespace) -> int:
         text.append(f"projection over BCD: {v.letters}")
         text.append(f"BB factors in projection: {payload['bb_factors_in_projection']}")
         text.append(f"violations: {payload['violations']}")
-    # build only the form that is printed: step lines for text, else one
-    # row per step under STEP_COLUMNS, whose stacks and output are lists
-    # for JSON and, for CSV, cells in the input's one-line notation
-    # (compact digits for n <= 9), one stack per "; "-separated part.
-    # Text lines and CSV rows are generators over the replayed steps, so
-    # each step prints as it is replayed; JSON needs the whole list.
+    # one row per step under STEP_COLUMNS, read once as the steps are
+    # replayed, by whichever format prints: its stacks and output are
+    # lists, which text prints through STEP_LINE, or for CSV cells in the
+    # input's one-line notation (compact digits for n <= 9), one stack per
+    # "; "-separated part
     lines: Iterable[str] = text
-    table = None
-    if args.trace and args.output_format == "text":
-        step_lines = (
-            f"step {s.step}: {s.letter} moves {s.value}  stacks={[list(x) for x in s.stacks]} "
-            f"out={list(s.output)}"
-            for s in run.steps
-        )
-        lines = itertools.chain(text, step_lines)
-    elif args.trace:
+    if args.trace:
         join = "".join if len(p) <= 9 else ",".join
-        cell = list if args.output_format == "json" else lambda x: join(map(str, x))
-        rows = (
+        cell = (lambda x: join(map(str, x))) if args.output_format == "csv" else list
+        rows = payload["steps"] = (
             dict(zip(STEP_COLUMNS, (s.step, s.letter, s.value, [cell(x) for x in s.stacks], cell(s.output))))
             for s in run.steps
         )
-        payload["steps"] = list(rows) if args.output_format == "json" else rows
-        table = "steps"
-    _emit(args, payload, lines, table, STEP_COLUMNS)
+        lines = itertools.chain(text, map(STEP_LINE.format_map, rows))
+    _emit(args, payload, lines, "steps" if args.trace else None, STEP_COLUMNS)
     return EXIT_OK
 
 

@@ -136,7 +136,8 @@ class MachineSteps:
     shares the snapshots of the piles its move leaves alone. ``len`` is
     the word's length. ``steps[i]`` takes an int, negative counting from
     the end, replays from the first move and keeps nothing; a caller that
-    reads many steps should iterate once instead.
+    reads many steps should iterate once instead. ``reversed`` replays
+    once and holds that read's records while it yields them backwards.
     """
 
     permutation: Perm
@@ -171,6 +172,9 @@ class MachineSteps:
             else:
                 out += (moved,)
             yield MachineStep(step, alphabet[code], moved, tuple(shown), out)
+
+    def __reversed__(self) -> Iterator[MachineStep]:
+        return reversed(list(self))
 
     def __getitem__(self, index: int) -> MachineStep:
         size = len(self)

@@ -93,11 +93,13 @@ TRACE_SHA256 = {
 }
 
 # word encode --trace at its worst case under the length cap, a decreasing
-# permutation of 200 through 24 stacks: (t+1)n = 5000 steps. Text lines and
-# CSV rows print as the steps are replayed; these digests pin their bytes.
+# permutation of 200 through 24 stacks: (t+1)n = 5000 steps. Every format
+# prints its step lines or rows as the steps are replayed; these digests,
+# taken while text and JSON still printed from whole lists, pin the bytes.
 WORST_TRACE_ARGV = ["word", "encode", ",".join(map(str, range(200, 0, -1))), "-t", "24", "--trace"]
 WORST_TRACE_SHA256 = {
     "text": "594336ccff491965615a08880ca6b9908a170e0aa56c155149c28f2db840068b",
+    "json": "e5af17b5a6f0a5c93e70bbe62cbc727b6c9b6af2bd3a97e2e03ebb47e0f81b23",
     "csv": "cbffd8d290fbacbc4fc7935662d39d386eb09ba8dbcd0f827c8d12d8d14c015d",
 }
 
@@ -462,6 +464,50 @@ class TestVerify:
         assert f"{len(verify.ALL_CHECKS) - 1}/{len(verify.ALL_CHECKS)} property families passed" in out
 
 
+_TRACED_PERMUTATIONS = {0: "", 2: "21", 11: "10,2,3,4,5,6,7,8,9,1,11"}
+
+
+class TestStreamedJson:
+    # _emit prints a table's rows one by one between the two halves of the
+    # payload dumped with the table emptied: the bytes must be one dump's
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--level", "quick"],
+            ["asymptote"],
+            *(
+                ["word", "encode", perm, "-t", str(t), "--trace"]
+                for perm in _TRACED_PERMUTATIONS.values()
+                for t in (1, 2, 3)
+            ),
+        ],
+        ids=["verify_quick", "asymptote", *(f"trace_n{n}_t{t}" for n in _TRACED_PERMUTATIONS for t in (1, 2, 3))],
+    )
+    def test_streamed_json_equals_one_dump(self, capsys, argv):
+        code, out, err = run(capsys, "--format", "json", *argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+    def test_the_first_row_prints_before_the_last_is_read(self):
+        out = io.StringIO()
+        seen = []  # what was printed when each row was drawn
+        rows = [{"step": i, "stacks": [[i], []]} for i in range(3)]
+
+        def draw():
+            for row in rows:
+                seen.append(out.getvalue())
+                yield row
+
+        # empty lists on both sides of the table, as "violations" can be
+        payload = {"aa": [], "steps": draw(), "zz": []}
+        with contextlib.redirect_stdout(out):
+            cli._emit(argparse.Namespace(output_format="json"), payload, [], "steps")
+        first = json.dumps(rows[0], sort_keys=True)
+        assert first not in seen[0]
+        assert first in seen[-1]
+        assert out.getvalue() == json.dumps({**payload, "steps": rows}, sort_keys=True) + "\n"
+
+
 _TRACE_ARGV = ["--format", "csv", "word", "encode", "10,2,3,4,5,6,7,8,9,1,11", "-t", "2", "--trace"]
 
 
@@ -477,13 +523,14 @@ class TestClosedPipe:
             ("1", _TRACE_ARGV),
             ("", _TRACE_ARGV),
             ("", WORST_TRACE_ARGV),
+            ("", ["--format", "json", *WORST_TRACE_ARGV]),
             ("1", ["--help"]),
             ("", ["--help"]),
             ("1", ["sort", "--help"]),
             ("", ["sort", "--help"]),
         ],
         ids=[
-            "in_the_handler", "in_the_final_flush", "in_the_step_replay",
+            "in_the_handler", "in_the_final_flush", "in_the_step_replay", "in_the_json_step_replay",
             "help", "help_buffered", "sort_help", "sort_help_buffered",
         ],
     )

@@ -347,6 +347,26 @@ class TestStepRecords:
             assert calls == len(steps) == (t + 1) * len(p), (p, t)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_reversed_replays_once(self, t, monkeypatch):
+        # not one replay per index, as the sequence protocol's fallback
+        # through steps[i] would make
+        calls = 0
+        init = MachineStep.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MachineStep, "__init__", counting_init)
+        for p in [(), (1,), (2, 1), (2, 3, 1), (3, 1, 4, 5, 2), tuple(range(60, 0, -1))]:
+            steps = run_series_machine(p, t, record_steps=True).steps
+            calls = 0
+            backwards = list(reversed(steps))
+            assert calls == len(steps) == (t + 1) * len(p), (p, t)
+            assert backwards == list(steps)[::-1], (p, t)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_indexing_replays_the_records_of_a_full_read(self, t):
         for p in [(), (1,), (2, 1), (2, 3, 1), (3, 1, 4, 5, 2), (6, 1, 5, 2, 4, 3, 7)]:
             steps = run_series_machine(p, t, record_steps=True).steps
