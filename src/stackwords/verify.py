@@ -128,7 +128,11 @@ class _Seen:
         return self._descents
 
     def projection(self) -> StackWord:
-        """image_word(word(3)): the trace with its input pushes dropped."""
+        """
+        image_word(word(3)): the trace with its input pushes dropped,
+        which is the image's 2-stack word over BCD for every p, 3-stack
+        sortable or not.
+        """
         if self._projection is None:
             self._projection = image_word(self.word(3))
         return self._projection
@@ -282,6 +286,12 @@ def check_descent_refinement_algebra(top: int) -> CheckResult:
 
 
 class _SortabilityStructure(_Family):
+    """
+    Every p with n >= 2 is (n-1)-stack sortable, and a t-sortable p avoids
+    2341 (t = 2) and 23451 (t = 3). The t = 1 case, 231, is
+    permutation_statistics' clause, which checks the equivalence.
+    """
+
     name = "sortability_structure"
     detail = "(n-1)-sortability and pattern avoidance for n <= {top}"
 
@@ -289,8 +299,7 @@ class _SortabilityStructure(_Family):
         p, n = seen.p, seen.n
         if n >= 2 and not seen.sortable(n - 1):
             self.bad.append(f"p={format_permutation(p)}: not (n-1)-stack sortable")
-        for t in (1, 2, 3):
-            pattern = tuple(range(2, t + 3)) + (1,)
+        for t, pattern in ((2, (2, 3, 4, 1)), (3, (2, 3, 4, 5, 1))):
             if seen.sortable(t) and contains_pattern(p, pattern):
                 self.bad.append(f"p={format_permutation(p)}: {t}-sortable but contains {format_permutation(pattern)}")
 
@@ -356,12 +365,15 @@ def check_codec_roundtrip(top: int) -> CheckResult:
 
 
 class _Projection(_Family):
+    """
+    The paper's lemma on every p, 3-stack sortable or not: the trace with
+    its input pushes dropped is the 2-stack word of the image.
+    """
+
     name = "projection"
     detail = "A-stripped trace equals the image's 2-stack word, n <= {top}"
 
     def visit(self, seen: _Seen) -> None:
-        if not seen.sortable(3):
-            return
         projected = seen.projection()
         direct = encode(seen.image(), 2)
         if projected.indices() != direct.indices():
@@ -376,6 +388,12 @@ def check_projection(top: int) -> CheckResult:
 
 
 class _FactorDescentBijections(_Family):
+    """
+    On every p: the AA factors of each t-stack trace, t <= 3, count the
+    descents of p, and the BB factors of the projection count those of
+    the image.
+    """
+
     name = "factor_descent_bijections"
     detail = "AA factors count descents; BB factors count image descents, n <= {top}"
 
@@ -384,7 +402,7 @@ class _FactorDescentBijections(_Family):
         for t in (1, 2, 3):
             if count_factor(seen.word(t), "AA") != seen.descents():
                 self.bad.append(f"p={format_permutation(p)} t={t}: AA count != descents")
-        if seen.sortable(3) and count_factor(seen.projection(), "BB") != descent_count(seen.image()):
+        if count_factor(seen.projection(), "BB") != descent_count(seen.image()):
             self.bad.append(f"p={format_permutation(p)}: BB count in projection != image descents")
 
 
@@ -393,14 +411,20 @@ def check_factor_descent_bijections(top: int) -> CheckResult:
 
 
 class _PlacementMembership(_Family):
+    """
+    Reads the traces of 3-stack sortable p only, unlike projection. A
+    witness gets p back from its trace by decode, which is exact only for
+    3-sortable p (codec_roundtrip checks that). And every trace of one n
+    is held, as letters, until that n closes, so holding those of all n!
+    permutations would raise the memory held at n = 7.
+    """
+
     name = "placement_membership"
     detail = "every trace among its projection's candidates, stream sizes exact, n <= {top}"
     first = 1
 
     def __init__(self, top: int):
         super().__init__(top)
-        # the traces of one n's 3-sortable p, as letters only: decode gives
-        # p back from its trace exactly (codec_roundtrip checks that)
         self.by_projection: dict[StackWord, list[str]] = {}
 
     def visit(self, seen: _Seen) -> None:

@@ -234,7 +234,9 @@ def decode(word: StackWord) -> tuple[int, ...]:
     are returned in original input order.
 
     For the trace of a t-stack sortable permutation p this recovers p
-    exactly (the machine emits such a p in sorted order). Any ballot word
+    exactly (the machine emits such a p in sorted order). For the trace of
+    any other p it gives a t-sortable permutation with that same trace:
+    measured for every p with n <= 7 and t <= 5, not proved. Any ballot word
     replays without error, but the result is only meaningful as "the
     permutation this word would sort"; to test whether the word really is
     a trace, see :func:`stackwords.machine.is_genuine_word`. The alphabet

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import stackwords.machine as machine_module
 from stackwords import verify
-from stackwords.counting import image_fertilities
+from stackwords.counting import brute_force_count, image_fertilities
 from stackwords.machine import (
     MachineStep,
     MachineSteps,
@@ -23,8 +23,16 @@ from stackwords.machine import (
     run_series_machine,
     stack_sort,
 )
-from stackwords.perms import is_identity
-from stackwords.words import StackWord, decode, enumerate_a_placements, validate_word
+from stackwords.perms import descent_count, is_identity
+from stackwords.words import (
+    MOVE_LETTERS,
+    StackWord,
+    count_factor,
+    decode,
+    enumerate_a_placements,
+    image_word,
+    validate_word,
+)
 
 
 @st.composite
@@ -293,6 +301,48 @@ class TestAgainstReferences:
     def test_sortability_of_non_permutations(self, p, t):
         # not validated: the answer is still whether t passes give 1..n
         assert is_t_stack_sortable(p, t) == (iterate_stack_sort(p, t) == tuple(range(1, len(p) + 1)))
+
+
+def assert_projects(p, t):
+    # drop the input pushes from the trace of p and move each letter down
+    # one: the image's (t-1)-stack word; at t = 3 its BB factors (over BCD,
+    # as image_word leaves them) count the image's descents
+    letters, q = encode(p, t).letters, stack_sort(p)
+    down = str.maketrans(MOVE_LETTERS[1 : t + 1], MOVE_LETTERS[:t])
+    assert letters.replace(MOVE_LETTERS[0], "").translate(down) == encode(q, t - 1).letters, (p, t)
+    if t == 3:
+        assert count_factor(image_word(StackWord(letters, "ABCD")), "BB") == descent_count(q), p
+
+
+class TestEveryTrace:
+    # The stack-word facts hold for every permutation, t-stack sortable or
+    # not: every p with n <= 6, every p with n = 7 at t = 3, and (the
+    # projection) 100 seeded p with n <= 80 at t <= 24.
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_the_projection_is_the_images_word_exhaustively(self, t):
+        for n in range(8 if t == 3 else 7):
+            for p in itertools.permutations(range(1, n + 1)):
+                assert_projects(p, t)
+
+    def test_the_projection_is_the_images_word_at_length_80(self):
+        rng = random.Random(80)
+        for _ in range(100):
+            n = rng.randint(1, 80)
+            assert_projects(tuple(rng.sample(range(1, n + 1), n)), rng.randint(2, 24))
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    def test_every_trace_is_genuine_and_the_traces_number_the_sortable(self, t):
+        # a trace decodes to a t-sortable permutation with the same trace,
+        # so the n! traces of one n are as many as the t-sortable p
+        for n in range(8 if t == 3 else 7):
+            traces = set()
+            for p in itertools.permutations(range(1, n + 1)):
+                w = encode(p, t)
+                assert is_genuine_word(w), (p, t)
+                assert is_t_stack_sortable(decode(w), t), (p, t)
+                traces.add(w.letters)
+            assert len(traces) == brute_force_count(n, t), (n, t)
 
 
 class TestStepRecords:

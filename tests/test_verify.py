@@ -12,8 +12,8 @@ import stackwords.verify as verify
 from stackwords.cli import main
 from stackwords.counting import two_stack_count
 from stackwords.growth import growth_rate, maximize_growth_rate
-from stackwords.machine import is_t_stack_sortable, run_series_machine, stack_sort
-from stackwords.perms import all_permutations, format_permutation
+from stackwords.machine import encode, is_t_stack_sortable, run_series_machine, stack_sort
+from stackwords.perms import all_permutations, descent_count, format_permutation
 from stackwords.words import StackWord
 
 
@@ -214,6 +214,40 @@ def test_each_clause_can_fail(monkeypatch, family, wrong, witness):
     assert any(witness in w for w in result.witnesses), result.witnesses
 
 
+# The real dependencies, but wrong on every q that is not 2-stack sortable:
+# an image meets that only when p is not 3-stack sortable.
+def _reversed_off_two_sortable(q, t):
+    word = encode(q, t)
+    if t == 2 and not is_t_stack_sortable(q, 2):
+        return StackWord(word.letters[::-1], word.alphabet)
+    return word
+
+
+def _one_more_off_two_sortable(q):
+    return descent_count(q) + (not is_t_stack_sortable(q, 2))
+
+
+@pytest.mark.parametrize(
+    "family, name, wrong, clause",
+    [
+        ("projection", "encode", _reversed_off_two_sortable, "2-stack word"),
+        ("factor_descent_bijections", "descent_count", _one_more_off_two_sortable, "BB count"),
+    ],
+    ids=["projection", "factor_descent_bijections-BB"],
+)
+def test_a_lemma_is_checked_on_permutations_that_are_not_3_sortable(monkeypatch, family, name, wrong, clause):
+    # the image's 2-stack word, or its descent count, is wrong exactly
+    # where p is not 3-stack sortable, so the clause names exactly those p
+    monkeypatch.setattr(verify, name, wrong)
+    monkeypatch.setattr(verify, "_MAX_WITNESSES", 100)
+    result = getattr(verify, f"check_{family}")(top=5)
+    expected = [
+        f"p={format_permutation(p)}" for n in range(6) for p in all_permutations(n) if not is_t_stack_sortable(p, 3)
+    ]
+    assert len(expected) == 120 - 114
+    assert [w.split(":")[0] for w in result.witnesses if clause in w] == expected
+
+
 def test_a_trace_missing_from_its_candidates_names_its_permutation(monkeypatch):
     # placement_membership keeps only the trace letters and gets p back by
     # decode: 231's trace is the one candidate of its projection, dropped here
@@ -324,11 +358,11 @@ def test_a_family_that_raises_leaves_the_sweep_to_the_others():
 
 
 def test_the_sweep_computes_each_word_once(monkeypatch, tmp_path):
-    # One encode(p, t) per p and t <= 3, plus the image's 2-stack word for
-    # each 3-stack sortable p, and one projection of that p's trace; the
-    # machine family keeps its own four runs per p. Families sweeping on
-    # their own encode about 8400 times. Each call appends its initial to
-    # one file, so the forked child's calls count too.
+    # Per p: one encode(p, t) for each t <= 3, the image's 2-stack word
+    # and one projection of the 3-stack trace; the machine family keeps its
+    # own four runs per p. Families sweeping on their own encode about
+    # 8600 times. Each call appends its initial to one file, so the forked
+    # child's calls count too.
     log = os.open(tmp_path / "calls", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def spy(name):
@@ -350,17 +384,17 @@ def test_the_sweep_computes_each_word_once(monkeypatch, tmp_path):
     letters = Counter((tmp_path / "calls").read_text())
     calls = {"encode": letters["e"], "image_word": letters["i"], "run_series_machine": letters["r"]}
     perms = sum(math.factorial(n) for n in range(7))  # n <= 6, the quick level's sweeps
-    three_sortable = sum(is_t_stack_sortable(p, 3) for n in range(7) for p in all_permutations(n))
-    assert (perms, three_sortable) == (874, 754)
-    assert calls["encode"] <= 3 * perms + three_sortable
-    assert calls["image_word"] == three_sortable
+    assert perms == 874
+    assert calls["encode"] <= 4 * perms
+    assert calls["image_word"] == perms
     assert calls["run_series_machine"] == 4 * perms
 
 
 def test_the_231_check_belongs_to_permutation_statistics(monkeypatch):
     # every p "contains" 231, so each 1-sortable p with n >= 1 is a
     # mismatch; permutation_statistics names them in all_permutations
-    # order, and sortability_structure no longer checks 231-avoidance
+    # order. sortability_structure checks 2341 and 23451 only: it still
+    # fails, but names no p for 231
     monkeypatch.setattr(verify, "contains_pattern", lambda p, q: True)
     monkeypatch.setattr(verify, "_MAX_WITNESSES", 100)
     mismatch = "1-sortability vs 231-avoidance mismatch"
@@ -375,7 +409,7 @@ def test_the_231_check_belongs_to_permutation_statistics(monkeypatch):
     assert [w for w in statistics.witnesses if mismatch in w] == expected
     structure = verify.check_sortability_structure(top=3)
     assert not structure.passed
-    assert not any(mismatch in w for w in structure.witnesses)
+    assert not any(mismatch in w or "contains 231" in w for w in structure.witnesses), structure.witnesses
 
 
 def test_only_families_that_need_n_at_least_1_start_there():
