@@ -463,6 +463,59 @@ class TestVerify:
         assert out.count("PASS ") == len(verify.ALL_CHECKS) - 1
         assert f"{len(verify.ALL_CHECKS) - 1}/{len(verify.ALL_CHECKS)} property families passed" in out
 
+    @pytest.mark.parametrize("level", ["slow", "", "QUICK"])
+    def test_an_unknown_level_is_one_error_line(self, capsys, level):
+        # run_verification is the one check of --level: main reports its
+        # ValueError, with no argparse usage line before it
+        import stackwords.verify as verify
+
+        code, out, err = run(capsys, "verify", "--level", level)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: unknown level {level!r}, expected one of {verify.LEVELS}"]
+
+    def test_help_names_every_level(self, capsys):
+        import stackwords.verify as verify
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--help"])
+        assert excinfo.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: stackwords verify [-h]") and err == ""
+        assert all(level in out for level in verify.LEVELS)
+
+
+# run in a fresh interpreter: which of verify and csv each command loads
+_LOADED_MODULES_SCRIPT = """
+import contextlib, io, sys
+import stackwords.cli as cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+def loaded():
+    return [name for name in ("stackwords.verify", "csv") if name in sys.modules]
+
+print(loaded())
+for argv in (["sort", "231"], ["word", "encode", "231", "--trace"], ["word", "decode", "AABB", "-t", "1"],
+             ["count", "-n", "5", "-t", "3"], ["bound", "-n", "5"], ["asymptote"]):
+    run(*argv)
+print(loaded())
+run("--format", "csv", "sort", "231")
+print(loaded())
+run("verify", "--level", "quick")
+print(loaded())
+"""
+
+
+class TestLazyImports:
+    def test_verify_and_csv_load_only_where_used(self):
+        fresh = subprocess.run(
+            [sys.executable, "-c", _LOADED_MODULES_SCRIPT],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert fresh.stdout.splitlines() == ["[]", "[]", "['csv']", "['stackwords.verify', 'csv']"], fresh.stderr
+
 
 _TRACED_PERMUTATIONS = {0: "", 2: "21", 11: "10,2,3,4,5,6,7,8,9,1,11"}
 
