@@ -195,19 +195,22 @@ def _west_splits(q: Perm) -> Iterator[tuple[Perm, Perm]]:
     # the splits q = L + R + (m,) of West's decomposition (see
     # stack_sort_preimages) whose halves can be images: none unless q ends
     # in its maximum m, and then those whose L and R each end in their own
-    # maximum (an empty half does). The entries need only be distinct, so
-    # L's running maximum starts at q[0], not at 0.
+    # maximum (an empty half does). With body = q[:-1], R = body[i:] does
+    # iff i is past every entry of body larger than body[-1], so one scan
+    # back from the end finds the least such i, start. The entries need
+    # only be distinct, so L's running maximum starts at q[0], not at 0.
     if not q or q[-1] != max(q):
         return
-    body, top = q[:-1], q[0]
+    body, top, start = q[:-1], q[0], len(q) - 1
+    while start and body[start - 1] <= body[-1]:
+        start -= 1
     for i in range(len(q)):
         if i:
             if body[i - 1] < top:
                 continue  # the left half does not end in its maximum
             top = body[i - 1]
-        right = body[i:]
-        if not right or right[-1] == max(right):
-            yield body[:i], right
+        if i >= start:
+            yield body[:i], body[i:]
 
 
 def stack_sort_preimages(q: Sequence[int]) -> Iterator[Perm]:
@@ -239,12 +242,6 @@ def stack_sort_preimages(q: Sequence[int]) -> Iterator[Perm]:
                     yield left + (q[-1],) + right
 
 
-def _standardise(pattern: Sequence[int]) -> Perm:
-    # the permutation of 1..len(pattern) in the same relative order
-    rank = {v: r for r, v in enumerate(sorted(pattern), 1)}
-    return tuple(rank[v] for v in pattern)
-
-
 def image_fertilities(n: int) -> Iterator[tuple[Perm, int]]:
     """
     Yield (q, |stack_sort^-1(q)|) for each 2-stack sortable q of length n
@@ -255,29 +252,33 @@ def image_fertilities(n: int) -> Iterator[tuple[Perm, int]]:
     The fertility follows West's decomposition without listing the
     preimages: it is the sum, over the splits q = q[:i] . q[i:-1] whose
     halves both end in their maximum, of the product of the halves'
-    fertilities. Those are memoised on the standardised half, in a table
-    that lives for this call only and holds patterns shorter than n.
+    fertilities. The halves are passed on as they are, and each half's
+    fertility is memoised by its order type (the positions of its entries
+    in increasing order of value), in a table that lives for this call
+    only; a half is shorter than n, so no image of length n enters it.
 
     >>> sorted(image_fertilities(3))
     [((1, 2, 3), 5), ((2, 1, 3), 1)]
     """
     if n < 0:
         raise ValueError(f"negative length {n}")
-    memo: dict[Perm, int] = {}
+    memo: dict[tuple[int, ...], int] = {}
 
     def fertility(q: Perm) -> int:
-        if len(q) <= 1:
-            return 1
-        if q in memo:
-            return memo[q]
         total = 0
         for left, right in _west_splits(q):
-            left_count = fertility(_standardise(left))
+            left_count = half_fertility(left)
             if left_count:
-                total += left_count * fertility(_standardise(right))
-        if len(q) < n:
-            memo[q] = total
+                total += left_count * half_fertility(right)
         return total
+
+    def half_fertility(half: Perm) -> int:
+        if len(half) <= 1:
+            return 1
+        key = tuple(sorted(range(len(half)), key=half.__getitem__))
+        if key not in memo:
+            memo[key] = fertility(half)
+        return memo[key]
 
     if n == 0:
         yield (), 1

@@ -274,7 +274,7 @@ class TestPreimageEngine:
         def ends_in_max(half):
             return not half or half[-1] == max(half)
 
-        for n in range(8):
+        for n in range(9):
             for q in all_permutations(n):
                 expected = []
                 if q and q[-1] == max(q):
@@ -298,9 +298,29 @@ class TestPreimageEngine:
             next(image_fertilities(-1))
 
     def test_fertilities_are_those_of_the_preimage_lists(self):
-        for n in (6, 7):
+        for n in (6, 7, 8):
             for q, fertility in image_fertilities(n):
                 assert fertility == sum(1 for _ in stack_sort_preimages(q)), q
+
+    @pytest.mark.parametrize("n, calls", [(8, 7646), (9, 34279)])
+    def test_memo_holds_one_entry_per_order_type(self, n, calls, monkeypatch):
+        # each pattern is split once, whatever entries its halves carry; a
+        # memo keyed by the raw halves splits it again for each new set of
+        # entries (8635 and 38941 calls)
+        west_splits = counting._west_splits
+        counted = []
+
+        def splits(q):
+            counted.append(q)
+            return west_splits(q)
+
+        monkeypatch.setattr(counting, "_west_splits", splits)
+        list(image_fertilities(n))
+        assert len(counted) == calls
+
+    def test_fertilities_sum_to_the_three_stack_count_at_10(self):
+        # checked once against brute_force_count(10, 3), a 10! sweep
+        assert sum(f for _, f in image_fertilities(10)) == 922862
 
     def test_memo_is_local_to_one_call(self):
         names = set(vars(counting))
