@@ -51,8 +51,9 @@ CONVERGENCE_SAMPLES = (10, 50, 200, 1000, 2000)
 # word encode --trace with 24 stacks: (t+1)n steps with up to n entries
 # each. On a decreasing permutation at n = 200, with stdout to /dev/null,
 # the whole process takes about 0.2 s in text and JSON and 0.3 s in CSV,
-# and peaks at 16.0-16.1 MiB in each format, since every format prints
-# each step row as it is replayed, on 2 CPUs with Python 3.11.7.
+# and peaks at 15.9-16.2 MiB in each format without a bytecode cache and
+# 15.3-15.6 MiB with one, since every format prints each step row as it
+# is replayed, on 2 CPUs with Python 3.11.7.
 MAX_PERMUTATION_LENGTH = 200
 # the keys of each word encode --trace step row, and the CSV header
 STEP_COLUMNS = ("step", "letter", "value", "stacks", "output")

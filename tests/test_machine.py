@@ -27,6 +27,7 @@ from stackwords.perms import descent_count, is_identity
 from stackwords.words import (
     MOVE_LETTERS,
     StackWord,
+    _move_codes,
     count_factor,
     decode,
     enumerate_a_placements,
@@ -105,6 +106,26 @@ class TestIterate:
 
 
 class TestSortability:
+    @pytest.mark.parametrize("t, passes", [(1, 0), (2, 1), (3, 2), (10**9, 4)])
+    def test_makes_min_t_n_minus_1_plain_passes(self, t, passes, monkeypatch):
+        # no identity stop: exactly min(t, n) - 1 passes before the last
+        # one, which is decided without building it
+        cases = [(p, iterate_stack_sort(p, t) == (1, 2, 3, 4, 5)) for p in [(1, 2, 3, 4, 5), (2, 3, 4, 5, 1), (5, 4, 3, 2, 1)]]
+        made = []
+
+        def counted(p):
+            made.append(p)
+            return stack_sort(p)
+
+        monkeypatch.setattr(machine_module, "stack_sort", counted)
+        for p, expected in cases:
+            made.clear()
+            assert is_t_stack_sortable(p, t) is expected, (p, t)
+            assert len(made) == passes, (p, t)
+        made.clear()
+        assert is_t_stack_sortable((), t) is True
+        assert made == []
+
     def test_231_needs_two_passes(self):
         assert not is_t_stack_sortable((2, 3, 1), 1)
         assert is_t_stack_sortable((2, 3, 1), 2)
@@ -282,6 +303,14 @@ class TestAgainstReferences:
         for n in range(8):
             for p in itertools.permutations(range(1, n + 1)):
                 assert_matches_reference(p, t)
+
+    def test_three_stack_rule_at_length_8(self):
+        # the written-out t = 3 rule over every input the sweep gives it;
+        # step records are checked at n <= 7 above
+        for p in itertools.permutations(range(1, 9)):
+            run = run_series_machine(p, 3)
+            letters, output, _ = reference_series_machine(p, 3)
+            assert (run.word.letters, run.output) == (letters, output), p
 
     def test_series_machine_at_length_60(self):
         rng = random.Random(60)
@@ -484,6 +513,66 @@ class TestStepRecords:
         assert type(run) is SeriesRun and type(run.word) is StackWord
         assert run == SeriesRun(StackWord("ABAABCCBC", "ABC"), (1, 2, 3))
         assert repr(run) == repr(SeriesRun(StackWord("ABAABCCBC", "ABC"), (1, 2, 3)))
+
+
+def count_runs(monkeypatch):
+    """The arguments of every SeriesRun built from here on, as the step tests count MachineStep."""
+    calls = []
+    init = SeriesRun.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SeriesRun, "__init__", counting_init)
+    return calls
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_only_run_series_machine_builds_a_run(self, t, monkeypatch):
+        calls = count_runs(monkeypatch)
+        for p in [(), (1,), (2, 1), (2, 3, 1), (3, 1, 4, 5, 2), (6, 1, 5, 2, 4, 3, 7)]:
+            calls.clear()
+            word = encode(p, t)
+            assert is_genuine_word(word)
+            assert calls == [], (p, t)
+            assert run_series_machine(p, t).word == word
+            assert len(calls) == 1, (p, t)
+
+    def test_genuine_words_by_the_old_definition(self, monkeypatch):
+        # the definition through the public API: re-encode the decoded
+        # permutation and compare the move codes of the two words
+        def by_reencoding(word):
+            try:
+                q = decode(word)
+            except ValueError:
+                return False
+            again = encode(q, word.stacks)
+            return _move_codes(again.letters, again.alphabet) == _move_codes(word.letters, word.alphabet)
+
+        project, window = str.maketrans("ABC", "BCD"), str.maketrans("ABCD", "VWXY")
+        candidates, projections = [], []
+        for n in range(1, 7):
+            for q, _ in image_fertilities(n):
+                v = StackWord(encode(q, 2).letters.translate(project), "BCD")
+                projections.append(v)
+                candidates.extend(enumerate_a_placements(v, n))
+        # over BCD: the projections, genuine 2-stack words, and their reversals,
+        # mostly not even ballot words
+        bcd = projections + [StackWord(v.letters[::-1], "BCD") for v in projections]
+        vwxy = [StackWord(w.letters.translate(window), "VWXY") for w in candidates]
+        # a ballot fault, and a ballot word that is nobody's trace
+        faults = [StackWord("ABBA", "AB"), StackWord("AABBCCDD", "ABCD")]
+        expected = {w: by_reencoding(w) for w in candidates + bcd + vwxy + faults}
+        assert 0 < sum(expected[w] for w in candidates) < len(candidates)
+        assert 0 < sum(expected[w] for w in bcd) < len(bcd)
+        assert [expected[w] for w in vwxy] == [expected[w] for w in candidates]
+        assert [expected[w] for w in faults] == [False, False]
+
+        calls = count_runs(monkeypatch)
+        assert {w: is_genuine_word(w) for w in expected} == expected
+        assert calls == []
 
 
 class TestEncode:
