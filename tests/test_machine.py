@@ -238,7 +238,10 @@ class TestSeriesMachine:
 
 
 def replayed_steps(p, letters, alphabet):
-    """(letter, value, stacks top-first, output) after each move, from mutable piles."""
+    """
+    The oracle for the step records: replays the letters on mutable piles
+    and yields (letter, value, stacks top-first, output) after each move.
+    """
     t = len(alphabet) - 1
     piles = [[] for _ in range(t)]
     out = []
@@ -247,54 +250,54 @@ def replayed_steps(p, letters, alphabet):
         code = alphabet.index(letter)
         moved = pending.pop(0) if code == 0 else piles[code - 1].pop()
         (piles[code] if code < t else out).append(moved)
-        yield letter, moved, [pile[::-1] for pile in piles], list(out)
+        yield letter, moved, tuple(tuple(pile[::-1]) for pile in piles), tuple(out)
 
 
 def reference_series_machine(p, t):
     """
-    The greedy machine as a scan over the transfers on plain piles: push
-    while the entry fits, else move the top of the lowest stack that fits
-    on the next one, else emit. Returns the letters, the output and, for
-    each move, (letter, value, stacks top-first, output).
+    The oracle for the moves and the output: the greedy machine as a scan
+    over the transfers on plain piles. Push while the entry fits, else move
+    the top of the lowest stack that fits on the next one, else emit.
+    Returns the letters and the output.
     """
-    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXY"[: t + 1]
+    alphabet = MOVE_LETTERS[: t + 1]
     n = len(p)
     piles = [[] for _ in range(t)]
     first, last = piles[0], piles[t - 1]
-    out, letters, steps = [], [], []
-    shown = [()] * t  # each pile top-first, sliced again after each move that touches it
-
-    def move(code, value):
-        for i in (code - 1, code):
-            if 0 <= i < t:
-                shown[i] = tuple(piles[i][::-1])
-        letters.append(alphabet[code])
-        steps.append((alphabet[code], value, tuple(shown), tuple(out)))
-
+    out, letters = [], []
     for x in tuple(p) + (n + 1,):  # n + 1 ends the input: it fits nowhere
         while first and first[-1] < x or x > n and len(out) < n:
             for code in range(1, t):
                 source, target = piles[code - 1], piles[code]
                 if source and (not target or source[-1] < target[-1]):
                     target.append(source.pop())
-                    move(code, target[-1])
+                    letters.append(alphabet[code])
                     break
             else:
                 out.append(last.pop())
-                move(t, out[-1])
+                letters.append(alphabet[t])
         if x <= n:
             first.append(x)
-            move(0, x)
-    return "".join(letters), tuple(out), steps
+            letters.append(alphabet[0])
+    return "".join(letters), tuple(out)
 
 
 def assert_matches_reference(p, t):
+    # the moves and output against the reference machine, then every step
+    # record against the replay of the reference's letters
     run = run_series_machine(p, t, record_steps=True)
-    letters, output, steps = reference_series_machine(p, t)
-    assert run.word.letters == letters, (p, t)
-    assert run.output == output, (p, t)
-    assert [(s.letter, s.value, s.stacks, s.output) for s in run.steps] == steps, (p, t)
-    assert [s.step for s in run.steps] == list(range(1, len(steps) + 1))
+    letters, output = reference_series_machine(p, t)
+    assert (run.word.letters, run.output) == (letters, output), (p, t)
+    assert type(run.steps) is MachineSteps
+    assert len(run.steps) == len(letters) == (t + 1) * len(p), (p, t)
+    replay = replayed_steps(p, letters, MOVE_LETTERS[: t + 1])
+    for number, (step, (letter, value, stacks, out)) in enumerate(zip(run.steps, replay), start=1):
+        assert type(step) is MachineStep
+        record = (step.step, step.letter, step.value, step.stacks, step.output)
+        assert record == (number, letter, value, stacks, out), (p, t)
+        # snapshots are shared between steps, so they must not change
+        assert type(step.stacks) is tuple and type(step.output) is tuple
+        assert all(type(s) is tuple for s in step.stacks)
 
 
 class TestAgainstReferences:
@@ -306,11 +309,10 @@ class TestAgainstReferences:
 
     def test_three_stack_rule_at_length_8(self):
         # the written-out t = 3 rule over every input the sweep gives it;
-        # step records are checked at n <= 7 above
+        # step records are checked against their replay at n <= 7 above
         for p in itertools.permutations(range(1, 9)):
             run = run_series_machine(p, 3)
-            letters, output, _ = reference_series_machine(p, 3)
-            assert (run.word.letters, run.output) == (letters, output), p
+            assert (run.word.letters, run.output) == reference_series_machine(p, 3), p
 
     def test_series_machine_at_length_60(self):
         rng = random.Random(60)
@@ -374,24 +376,20 @@ class TestEveryTrace:
             assert len(traces) == brute_force_count(n, t), (n, t)
 
 
-class TestStepRecords:
-    @pytest.mark.parametrize("t", [1, 2, 3, 4])
-    def test_steps_match_an_independent_replay(self, t):
-        for n in range(7):
-            for p in itertools.permutations(range(1, n + 1)):
-                run = run_series_machine(p, t, record_steps=True)
-                assert type(run.steps) is MachineSteps
-                assert len(run.steps) == len(run.word.letters) == (t + 1) * n
-                replay = replayed_steps(p, run.word.letters, run.word.alphabet)
-                for number, (step, (letter, value, stacks, output)) in enumerate(zip(run.steps, replay), start=1):
-                    assert type(step) is MachineStep
-                    assert (step.step, step.letter, step.value) == (number, letter, value)
-                    assert [list(s) for s in step.stacks] == stacks
-                    assert list(step.output) == output
-                    # snapshots are shared between steps, so they must not change
-                    assert type(step.stacks) is tuple and type(step.output) is tuple
-                    assert all(type(s) is tuple for s in step.stacks)
+def count_inits(monkeypatch, cls):
+    """The arguments of every cls built from here on."""
+    calls = []
+    init = cls.__init__
 
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return calls
+
+
+class TestStepRecords:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_a_pop_reuses_the_snapshot_from_before_its_push(self, t):
         for n in range(7):
@@ -409,40 +407,24 @@ class TestStepRecords:
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_every_step_comes_from_the_constructor(self, t, monkeypatch):
-        calls = 0
-        init = MachineStep.__init__
-
-        def counting_init(self, *args, **kwargs):
-            nonlocal calls
-            calls += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(MachineStep, "__init__", counting_init)
+        calls = count_inits(monkeypatch, MachineStep)
         for p in [(), (1,), (2, 1), (2, 3, 1), (3, 1, 4, 5, 2), (6, 1, 5, 2, 4, 3, 7)]:
-            calls = 0
+            calls.clear()
             steps = run_series_machine(p, t, record_steps=True).steps
-            assert calls == 0, (p, t)  # nothing is built until the steps are read
+            assert calls == [], (p, t)  # nothing is built until the steps are read
             tuple(steps)
-            assert calls == len(steps) == (t + 1) * len(p), (p, t)
+            assert len(calls) == len(steps) == (t + 1) * len(p), (p, t)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_reversed_replays_once(self, t, monkeypatch):
         # not one replay per index, as the sequence protocol's fallback
         # through steps[i] would make
-        calls = 0
-        init = MachineStep.__init__
-
-        def counting_init(self, *args, **kwargs):
-            nonlocal calls
-            calls += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(MachineStep, "__init__", counting_init)
+        calls = count_inits(monkeypatch, MachineStep)
         for p in [(), (1,), (2, 1), (2, 3, 1), (3, 1, 4, 5, 2), tuple(range(60, 0, -1))]:
             steps = run_series_machine(p, t, record_steps=True).steps
-            calls = 0
+            calls.clear()
             backwards = list(reversed(steps))
-            assert calls == len(steps) == (t + 1) * len(p), (p, t)
+            assert len(calls) == len(steps) == (t + 1) * len(p), (p, t)
             assert backwards == list(steps)[::-1], (p, t)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
@@ -515,23 +497,10 @@ class TestStepRecords:
         assert repr(run) == repr(SeriesRun(StackWord("ABAABCCBC", "ABC"), (1, 2, 3)))
 
 
-def count_runs(monkeypatch):
-    """The arguments of every SeriesRun built from here on, as the step tests count MachineStep."""
-    calls = []
-    init = SeriesRun.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SeriesRun, "__init__", counting_init)
-    return calls
-
-
 class TestOneKernel:
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_only_run_series_machine_builds_a_run(self, t, monkeypatch):
-        calls = count_runs(monkeypatch)
+        calls = count_inits(monkeypatch, SeriesRun)
         for p in [(), (1,), (2, 1), (2, 3, 1), (3, 1, 4, 5, 2), (6, 1, 5, 2, 4, 3, 7)]:
             calls.clear()
             word = encode(p, t)
@@ -570,7 +539,7 @@ class TestOneKernel:
         assert [expected[w] for w in vwxy] == [expected[w] for w in candidates]
         assert [expected[w] for w in faults] == [False, False]
 
-        calls = count_runs(monkeypatch)
+        calls = count_inits(monkeypatch, SeriesRun)
         assert {w: is_genuine_word(w) for w in expected} == expected
         assert calls == []
 

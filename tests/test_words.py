@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import stackwords.words as words_module
 from stackwords import verify
 from stackwords.counting import image_fertilities
 from stackwords.machine import encode, is_genuine_word, is_t_stack_sortable, stack_sort
@@ -450,15 +449,6 @@ class TestPlacements:
         for total in range(9):
             for parts in range(1, 10):
                 assert list(_compositions(total, parts)) == list(recursive_compositions(total, parts)), (total, parts)
-
-    def test_streams_match_the_recursive_definition(self, monkeypatch):
-        # the projection of every 3-stack sortable p with n <= 8 (the 2-stack
-        # word of its image, over BCD) streams the same candidates, in the
-        # same order, as with recursive compositions
-        projections = image_projections(8)
-        streams = [[w.letters for w in enumerate_a_placements(v, n)] for n, v in projections]
-        monkeypatch.setattr(words_module, "_compositions", recursive_compositions)
-        assert streams == [[w.letters for w in enumerate_a_placements(v, n)] for n, v in projections]
 
     def test_streams_match_the_slot_walk(self):
         # the candidates built from v's B-segments are those of a walk over
