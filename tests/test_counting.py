@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import stackwords.counting as counting
-from stackwords import verify
 from stackwords.counting import (
     _exact_div,
     bound_summand,
@@ -52,10 +51,6 @@ class TestTwoStackCount:
         with pytest.raises(ValueError):
             two_stack_count(0)
 
-    def test_matches_brute_force(self):
-        result = verify.check_two_stack_oracle(top=6)
-        assert result.passed, result.witnesses
-
 
 class TestByDescents:
     def test_length_four_row(self):
@@ -93,30 +88,10 @@ class TestByDescents:
         with pytest.raises(ArithmeticError, match="two_stack_count_by_descents: 1 is not divisible by 6"):
             two_stack_count_by_descents(4, 1)
 
-    def test_matches_brute_force(self):
-        result = verify.check_descent_refinement_oracle(top=6)
-        assert result.passed, result.witnesses
-
-    @pytest.fixture(scope="class")
-    def algebra(self):
-        # one pass over the rows n <= 80 checks both the sum and the symmetry
-        return verify.check_descent_refinement_algebra(top=80)
-
-    def test_sums_to_total(self, algebra):
-        assert algebra.passed, algebra.witnesses
-
-    def test_symmetry(self, algebra):
-        assert algebra.passed, algebra.witnesses
-
 
 class TestThreeStackBound:
     def test_values(self):
         assert [three_stack_bound(n) for n in range(1, 10)] == THREE_STACK_BOUND
-
-    def test_bounds_the_count(self):
-        # per-descent caps and the aggregate bound
-        result = verify.check_bound_inequalities(top3=6, top_trivial=0)
-        assert result.passed, result.witnesses
 
     def test_tight_for_tiny_lengths(self):
         assert three_stack_bound(1) == 1
@@ -155,10 +130,6 @@ class TestTrivialBound:
     @pytest.mark.parametrize("n, t, expected", [(2, 1, 16), (1, 3, 16), (3, 2, 729)])
     def test_values(self, n, t, expected):
         assert trivial_bound(n, t) == expected
-
-    def test_dominates_brute_force(self):
-        result = verify.check_bound_inequalities(top3=0, top_trivial=6)
-        assert result.passed, result.witnesses
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

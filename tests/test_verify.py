@@ -17,13 +17,6 @@ from stackwords.perms import all_permutations, descent_count, format_permutation
 from stackwords.words import StackWord
 
 
-def test_quick_level_all_pass():
-    results = verify.run_verification("quick")
-    assert len(results) == len(verify.ALL_CHECKS)
-    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
-    assert all(r.witnesses == [] for r in results)
-
-
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         verify.run_verification("paranoid")
@@ -296,7 +289,9 @@ def test_each_check_reports_under_its_family_name(clean_alone):
     # clean_alone called each check_<name> with BOUNDS["quick"][name]
     names = list(verify.BOUNDS["quick"])
     assert len(names) == 16
-    assert [(r.name, r.passed) for r in clean_alone] == [(name, True) for name in names]
+    assert [(r.name, r.passed) for r in clean_alone] == [(name, True) for name in names], "\n".join(
+        f"{r.name}: {r.witnesses}" for r in clean_alone if not r.passed
+    )
 
 
 def test_shared_sweep_matches_each_family_alone(clean_alone):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stackwords import verify
 from stackwords.counting import image_fertilities
 from stackwords.machine import encode, is_genuine_word, is_t_stack_sortable, stack_sort
 from stackwords.words import (
@@ -23,11 +22,7 @@ from stackwords.words import (
     validate_word,
 )
 
-
-@st.composite
-def perms(draw, max_n=7):
-    n = draw(st.integers(0, max_n))
-    return tuple(draw(st.permutations(range(1, n + 1))))
+from strategies import perms
 
 
 def recursive_compositions(total, parts):
@@ -168,7 +163,7 @@ class TestValidate:
         with pytest.raises(ValueError):
             default_alphabet(25)
 
-    @given(perms(), st.integers(1, 4))
+    @given(perms(max_n=7), st.integers(1, 4))
     def test_every_trace_validates(self, p, t):
         word = encode(p, t)
         assert validate_word(word.letters, t) == word
@@ -283,11 +278,6 @@ class TestFactors:
             forbidden_factor_violations(validate_word("AABB", 1))
         with pytest.raises(ValueError):
             forbidden_factor_violations(StackWord("BCBDCD", "BCD"))
-
-    def test_aa_factors_count_descents(self):
-        # and BB factors of the projection count the image's descents
-        result = verify.check_factor_descent_bijections(top=5)
-        assert result.passed, result.witnesses
 
 
 class TestDecode:
@@ -409,10 +399,6 @@ class TestProjection:
         with pytest.raises(ValueError):
             image_word(validate_word("AABB", 1))
 
-    def test_matches_two_stack_word_of_image(self):
-        result = verify.check_projection(top=5)
-        assert result.passed, result.witnesses
-
 
 class TestPlacements:
     def test_two_candidates_for_single_descent(self):
@@ -431,10 +417,6 @@ class TestPlacements:
         v = validate_word("BBCCDD", 2, alphabet="BCD")
         with pytest.raises(ValueError, match="BB factors"):
             list(enumerate_a_placements(v, 2))
-
-    def test_stream_size_and_membership(self):
-        result = verify.check_placement_membership(top=5)
-        assert result.passed, result.witnesses
 
     def test_candidates_are_mostly_not_genuine(self):
         # identity of length 3: six candidates, five of which are traces
